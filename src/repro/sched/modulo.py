@@ -22,17 +22,21 @@ span *implies* the previous condition check passed, so body effects
 need no predication and no squash handling.
 
 The initiation interval is searched upward from
-``MII = max(ResMII, RecMII)`` (Rau's iterative modulo scheduling):
-each candidate II bounds placement with a deadline of ``II`` cycles;
-a failed attempt rolls the region back
+``MII = max(ResMII, RecMII, PathMII)`` (Rau's iterative modulo
+scheduling): each candidate II bounds placement with a deadline of
+``II`` cycles; a failed attempt rolls the region back
 (:class:`repro.sched.state.SchedCheckpoint`) and retries with II+1.
+The kernel-span superblock is built once per loop and every attempt
+schedules a copy of it; an attempt aborts as soon as some unplaced
+item's critical tail can no longer finish by the deadline.
 Infeasible loops (or, in ``auto`` mode, loops where no II beats the
 list realisation's iteration span) fall back to the list strategy.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.arch.ccu import BranchKind
 from repro.ir.cdfg import Kernel
@@ -59,6 +63,7 @@ from repro.sched.strategy import (
 from repro.sched.superblock import Superblock, build_superblock
 
 __all__ = [
+    "IIBounds",
     "ModuloInfeasible",
     "ModuloStrategy",
     "modulo_eligibility",
@@ -70,7 +75,15 @@ MAX_II_ATTEMPTS = 48
 
 
 class ModuloInfeasible(SchedulingError):
-    """No feasible II found; the caller falls back to the list strategy."""
+    """No feasible II found; the caller falls back to the list strategy.
+
+    ``attempts`` counts the II values tried before giving up (0 when the
+    loop was rejected before the search started).
+    """
+
+    def __init__(self, message: str, attempts: int = 0) -> None:
+        super().__init__(message)
+        self.attempts = attempts
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +127,22 @@ def modulo_eligibility(
 
 
 # ---------------------------------------------------------------------------
-# MII = max(ResMII, RecMII)
+# MII = max(ResMII, RecMII, PathMII)
 # ---------------------------------------------------------------------------
+
+
+class IIBounds(NamedTuple):
+    """Lower bounds on the II of one kernel span (see :func:`compute_mii`)."""
+
+    res_mii: int
+    rec_mii: int
+    path_mii: int
+    #: item key -> its minimum duration plus its longest successor chain
+    tails: Dict[int, int]
+
+    @property
+    def mii(self) -> int:
+        return max(self.res_mii, self.rec_mii, self.path_mii)
 
 
 def _min_duration(sched, opcode: str, pes: Tuple[int, ...]) -> int:
@@ -134,17 +161,23 @@ def _issue_weight(sched, opcode: str, pes: Tuple[int, ...]) -> int:
     return best if best is not None else 1
 
 
-def compute_mii(sched, sb: Superblock) -> Tuple[int, int]:
-    """(ResMII, RecMII) lower bounds for one kernel-span superblock.
+def compute_mii(sched, sb: Superblock) -> IIBounds:
+    """ResMII, RecMII and PathMII lower bounds for one kernel span.
 
     ResMII: per-opcode-class issue pressure over the eligible PEs (an
     op on a non-pipelined PE occupies it for its duration), total items
     over the fabric width, and one C-Box combine per cycle.  RecMII:
     for every loop-carried variable (read and written inside the span)
     the cycle ``read@k -> ... -> write@k``/``write@k -> read@k+1``
-    forces ``II >= longest read-to-write path latency``.  Both are
-    conservative *lower* bounds — the achieved II is whatever bounded
-    placement first succeeds at.
+    forces ``II >= longest read-to-write path latency``.  PathMII: the
+    whole span must fit in II cycles, and an item only issues after its
+    predecessors finish, so ``II >= longest dependence chain`` over
+    ``sb.succs`` (each item weighted by its minimum duration on its
+    eligible PEs).  All three are conservative *lower* bounds — the
+    achieved II is whatever bounded placement first succeeds at.
+
+    The per-item chain lengths behind PathMII come back as ``tails``;
+    the bounded placement uses them to abort an attempt early.
     """
     comp = sched.comp
     demand: Dict[str, int] = {}
@@ -215,7 +248,15 @@ def compute_mii(sched, sb: Superblock) -> Tuple[int, int]:
         for w in writer_keys:
             if w in lp:
                 rec_mii = max(rec_mii, lp[w])
-    return res_mii, rec_mii
+
+    # -- PathMII over the longest dependence chain --------------------------
+    tails: Dict[int, int] = {}
+    for k in reversed(topo):
+        tails[k] = durations[k] + max(
+            (tails[s] for s in sb.succs.get(k, ())), default=0
+        )
+    path_mii = max(tails.values(), default=1)
+    return IIBounds(res_mii, rec_mii, path_mii, tails)
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +285,14 @@ class ModuloStrategy(SchedulingStrategy):
         try:
             info = self._pipeline_loop(sched, loop, max_ii=max_ii)
         except SchedulingError as exc:
+            attempts = exc.attempts if isinstance(exc, ModuloInfeasible) else 0
             if metrics.enabled:
                 metrics.inc("sched.modulo.fallback")
+                metrics.inc("sched.modulo.attempts", attempts)
             if sched.obs_tracer.enabled:
-                sched.obs_tracer.event("sched.modulo.fallback", reason=str(exc))
+                sched.obs_tracer.event(
+                    "sched.modulo.fallback", reason=str(exc), attempts=attempts
+                )
             entry.rollback(sched)
             LIST_STRATEGY.schedule_loop(sched, loop)
             return
@@ -283,22 +328,22 @@ class ModuloStrategy(SchedulingStrategy):
             RegionScheduler._leaf_regions(loop.body)
         ) + [loop.header]
 
-        # -- MII from a throwaway superblock build (rolled back: the
-        # build registers body-if condition pairs with the planner) ------
-        checkpoint = SchedCheckpoint(sched)
+        # -- the kernel-span superblock, built once per loop.  The build
+        # registers body-if condition pairs with the planner, so the
+        # checkpoint every failed attempt rolls back to is taken after it
         span_start = sched.frontier
-        sb0 = build_superblock(span_regions, None, sched.planner)
-        res_mii, rec_mii = compute_mii(sched, sb0)
-        checkpoint.rollback(sched)
-        mii = max(res_mii, rec_mii)
+        sb = build_superblock(span_regions, None, sched.planner)
+        bounds = compute_mii(sched, sb)
+        checkpoint = SchedCheckpoint(sched)
+        mii = bounds.mii
 
         cap = mii + MAX_II_ATTEMPTS
         if max_ii is not None:
             cap = min(cap, max_ii)
         if cap < mii:
             raise ModuloInfeasible(
-                f"II budget {cap} below MII {mii} "
-                f"(ResMII {res_mii}, RecMII {rec_mii})"
+                f"II budget {cap} below MII {mii} (ResMII {bounds.res_mii}, "
+                f"RecMII {bounds.rec_mii}, PathMII {bounds.path_mii})"
             )
 
         # -- iterative II search with backtracking placement ---------------
@@ -308,14 +353,15 @@ class ModuloStrategy(SchedulingStrategy):
             attempts += 1
             try:
                 back_cycle = self._attempt_span(
-                    sched, span_regions, pair, span_start, ii
+                    sched, sb, bounds.tails, pair, span_start, ii
                 )
                 break
             except SchedulingError:
                 checkpoint.rollback(sched)
         if back_cycle is None:
             raise ModuloInfeasible(
-                f"no feasible II in [{mii}, {cap}] for loop kernel span"
+                f"no feasible II in [{mii}, {cap}] for loop kernel span",
+                attempts=attempts,
             )
         achieved = back_cycle - span_start + 1
 
@@ -327,9 +373,10 @@ class ModuloStrategy(SchedulingStrategy):
             kernel_start=span_start,
             kernel_end=back_cycle,
             ii=achieved,
-            res_mii=res_mii,
-            rec_mii=rec_mii,
+            res_mii=bounds.res_mii,
+            rec_mii=bounds.rec_mii,
             attempts=attempts,
+            path_mii=bounds.path_mii,
         )
         sched.modulo_loops.append(info)
 
@@ -344,16 +391,23 @@ class ModuloStrategy(SchedulingStrategy):
     def _attempt_span(
         self,
         sched,
-        span_regions: List[Region],
+        sb: Superblock,
+        tails: Dict[int, int],
         pair: int,
         span_start: int,
         ii: int,
     ) -> int:
-        """One bounded placement attempt; returns the back-branch cycle."""
+        """One bounded placement attempt; returns the back-branch cycle.
+
+        Places a shallow copy of ``sb``: dynamic unfuse inserts items
+        into the dict it schedules, and the next attempt must start
+        from the built superblock again.
+        """
         deadline = span_start + ii - 1
         sched._deadline = deadline
+        sched._deadline_tails = tails
         try:
-            sched._sched_superblock(span_regions, None)
+            sched._place_superblock(replace(sb, items=dict(sb.items)))
         finally:
             sched._deadline = None
         back_cycle = sched._branch_cycle()

@@ -188,11 +188,15 @@ class ModuloLoopInfo:
     rec_mii: int
     #: II values tried before one was feasible
     attempts: int
+    #: critical-path lower bound on the II: the longest dependence chain
+    #: of the kernel span (defaults to 1 for schedules pickled before
+    #: the bound existed)
+    path_mii: int = 1
 
     @property
     def mii(self) -> int:
         """The minimum II the search started from."""
-        return max(self.res_mii, self.rec_mii)
+        return max(self.res_mii, self.rec_mii, self.path_mii)
 
 
 @dataclass

@@ -158,6 +158,10 @@ class RegionScheduler:
         #: bounded placement (modulo II search): no item may finish past
         #: this cycle; None disables the bound (list scheduling)
         self._deadline: Optional[int] = None
+        #: item key -> fewest cycles from its issue to the end of its
+        #: longest successor chain (sched.modulo.compute_mii); read only
+        #: under a deadline, which aborts once an item can no longer make it
+        self._deadline_tails: Dict[int, int] = {}
         #: node value locations: node id -> [(pe, vid, ready)]
         self.node_locs: Dict[int, List[Tuple[int, int, int]]] = {}
         #: attraction criterion (Section V-G): (item key, pe) -> score
@@ -390,7 +394,10 @@ class RegionScheduler:
     def _sched_superblock(
         self, regions: Sequence[Region], pred: Optional[PredRef]
     ) -> None:
-        sb = build_superblock(regions, pred, self.planner)
+        self._place_superblock(build_superblock(regions, pred, self.planner))
+
+    def _place_superblock(self, sb: Superblock) -> None:
+        """List-schedule an already built superblock from the frontier."""
         if not sb.items:
             return
         with self.obs_tracer.span(
@@ -412,13 +419,19 @@ class RegionScheduler:
         max_cycle = start - 1
         t = start
         stall = 0
+        deadline, tails = self._deadline, self._deadline_tails
 
         while remaining:
-            if self._deadline is not None and t > self._deadline:
-                raise SchedulingError(
-                    f"deadline {self._deadline} exceeded with items "
-                    f"{sorted(remaining)} unplaced"
-                )
+            if deadline is not None:
+                # an unplaced item issues at t or later, then its longest
+                # successor chain runs; an unfused pWRITE that re-entered
+                # the pool (no tail of its own) needs at least one cycle
+                need = max(tails.get(key, 1) for key in remaining)
+                if t + need - 1 > deadline:
+                    raise SchedulingError(
+                        f"deadline {deadline} out of reach at cycle {t}: "
+                        f"items {sorted(remaining)} need {need} more cycles"
+                    )
             candidates = [
                 item
                 for item in remaining.values()

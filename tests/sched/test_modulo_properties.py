@@ -3,9 +3,11 @@
 Random kernels (the same generator as the baseline-vs-CGRA differential
 suite) pin two guarantees of the II search and the auto strategy:
 
-* every software-pipelined loop achieves ``II >= max(ResMII, RecMII)``
-  — the search never reports an II below its own lower bounds, and the
-  recorded bounds are positive and self-consistent;
+* every software-pipelined loop achieves
+  ``II >= max(ResMII, RecMII, PathMII)`` — the search never reports an
+  II below its own lower bounds, the recorded bounds are positive and
+  self-consistent, and the search tried exactly the IIs from its bound
+  up to the achieved one (none below, none skipped);
 * ``auto`` mode never schedules worse than pure list mode: its probe
   keeps the modulo realisation only when the achieved II undercuts the
   list iteration span, so simulated cycles can only improve — and the
@@ -51,11 +53,15 @@ def test_achieved_ii_at_least_mii(program):
     for info in schedule.modulo_loops:
         assert info.res_mii >= 1
         assert info.rec_mii >= 0
-        assert info.ii >= max(info.res_mii, info.rec_mii), (
-            f"achieved II {info.ii} below MII "
-            f"max({info.res_mii}, {info.rec_mii})"
+        assert info.path_mii >= 1
+        mii = max(info.res_mii, info.rec_mii, info.path_mii)
+        assert info.mii == mii
+        assert info.ii >= mii, (
+            f"achieved II {info.ii} below MII max({info.res_mii}, "
+            f"{info.rec_mii}, {info.path_mii})"
         )
-        assert info.attempts >= 1
+        # the search starts at its bound and stops at the first success
+        assert info.attempts == info.ii - mii + 1
         # the steady-state kernel really spans II contexts
         assert info.kernel_end - info.kernel_start + 1 == info.ii
 
