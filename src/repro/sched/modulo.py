@@ -30,7 +30,9 @@ The kernel-span superblock is built once per loop and every attempt
 schedules a copy of it; an attempt aborts as soon as some unplaced
 item's critical tail can no longer finish by the deadline.
 Infeasible loops (or, in ``auto`` mode, loops where no II beats the
-list realisation's iteration span) fall back to the list strategy.
+list realisation's iteration span, or whose rotated form homes a
+variable on another PE than the list form) fall back to the list
+strategy.
 """
 
 from __future__ import annotations
@@ -264,6 +266,15 @@ def compute_mii(sched, sb: Superblock) -> IIBounds:
 # ---------------------------------------------------------------------------
 
 
+def _var_homes(sched) -> Dict[object, int]:
+    """Variable -> home PE for every variable homed so far."""
+    return {
+        var: st.home_pe
+        for var, st in sched.vars.all_vars()
+        if st.home_pe is not None
+    }
+
+
 class ModuloStrategy(SchedulingStrategy):
     """Software-pipeline one loop; falls back to the list strategy."""
 
@@ -273,6 +284,7 @@ class ModuloStrategy(SchedulingStrategy):
         metrics = sched.obs_metrics
         entry = SchedCheckpoint(sched)
         max_ii: Optional[int] = None
+        list_homes: Optional[Dict[object, int]] = None
         if sched.scheduler_mode == "auto":
             # auto keeps the rotated form only when its II strictly
             # beats the list realisation's iteration span: with equal
@@ -281,9 +293,19 @@ class ModuloStrategy(SchedulingStrategy):
             LIST_STRATEGY.schedule_loop(sched, loop)
             span = sched.loop_spans[-1]
             max_ii = span.end - span.start  # list span length - 1
+            list_homes = _var_homes(sched)
             entry.rollback(sched)
         try:
             info = self._pipeline_loop(sched, loop, max_ii=max_ii)
+            # homes are global: a variable first written in the loop but
+            # homed elsewhere than under the list realisation moves every
+            # later access to it, which can cost cycles after the loop
+            # even when the loop never runs — auto keeps list then
+            if list_homes is not None and _var_homes(sched) != list_homes:
+                raise ModuloInfeasible(
+                    "rotated form homes variables off the list PEs",
+                    attempts=info.attempts,
+                )
         except SchedulingError as exc:
             attempts = exc.attempts if isinstance(exc, ModuloInfeasible) else 0
             if metrics.enabled:

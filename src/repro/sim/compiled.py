@@ -1,45 +1,49 @@
 """Ahead-of-time compiled simulator backend.
 
 The context program is entirely static (Section V: fixed per-CCNT
-PE/C-Box/CCU words), so everything the per-cycle interpreter in
-:mod:`repro.sim.machine` re-derives on every dynamic cycle can be
-hoisted to a one-time compile:
+PE/C-Box/CCU words), so what the per-cycle interpreter in
+:mod:`repro.sim.machine` re-derives on every dynamic cycle is hoisted
+to a one-time compile:
 
-* **Issue records** — per CCNT, only the PEs that actually issue an
-  operation, each with its opcode's semantics pre-bound (no ``OPS[...]``
-  dict lookup), its CONST immediate pre-wrapped, and its operand
-  selectors pre-resolved to flat ``(pe, slot)`` register-file reads.  A
-  neighbour out-port read resolves to the *producer's* RF slot (the one
-  its ``out_addr`` exposes that cycle), so the interpreter's per-cycle
-  ``out_values`` map for every PE disappears entirely.
-* **Static checks** — link validity (``interconnect.has_link``),
-  out-port exposure, operand arity, RF/C-Box slot ranges and
-  branch-selection wiring are verified once at compile time instead of
-  per cycle.
-* **Trace fusion** — contiguous CCNT runs between CCU branch/halt
-  points fuse into straight-line *traces* executed as a unit, so
-  dispatch happens once per trace per visit instead of once per cycle.
-  Loop bodies — the high-visit regions the context-residency profile
-  identifies — collapse into tight pre-compiled step sequences.
+* **Issue records** — per CCNT, only the PEs that issue an operation,
+  with operands pre-resolved to flat ``(pe, slot)`` register-file reads
+  (a neighbour out-port read becomes the producer's exposed RF slot).
+* **Static checks** — links, out-port exposure, operand arity, RF/C-Box
+  slot ranges and branch-selection wiring are verified once.
+* **Generated traces** — CCNT runs between CCU branch/halt points fuse
+  into traces keyed on the entry CCNT plus the *in-flight signature*,
+  the (remaining cycles, issue record) of each multi-cycle operation
+  running at entry.  Under that key all but data is static (busy PEs,
+  finish order, the write port, C-Box status presence, predication
+  signals), so on first entry each trace is lowered to one Python
+  function: operand reads become ``rX[s]``, commits assignments, the
+  C-Box combine is inlined and a static fault a ``raise`` at its cycle.
+  Operations still in flight at exit pass to the successor trace.  A
+  process-wide LRU of :data:`_CODE_SIZE` functions shares them by source.
 
-The compiled backend is an exact drop-in: ``RunResult`` fields
-(including bit-equal ``energy``), live-outs, final heap contents and
-the dynamic error behaviour of well-formed programs match the
-interpreter, which stays as the differential-testing reference oracle
-(see ``tests/sim/test_compiled.py``).
+``RunResult`` (bit-equal ``energy`` summed at halt from per-trace
+integer constants), live-outs, heap contents and errors match the
+interpreter, the reference oracle (``tests/sim/test_compiled.py``).
 """
 
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
-from repro.arch.cbox import FRESH, FRESH_NEG
+from repro.arch.cbox import FRESH, FRESH_NEG, CBoxFunc
 from repro.arch.ccu import BranchKind
 from repro.arch.composition import Composition
 from repro.arch.operations import ENERGY_SCALE, OPS, energy_units, wrap32
 from repro.context.words import ContextProgram
 from repro.obs import get_metrics, get_tracer
+from repro.sim.machine import (
+    RunResult,
+    SimulationError,
+    _err_suffix,
+    emit_context_profile,
+)
 from repro.sim.memory import Heap
 
 __all__ = ["CompiledProgram", "compile_program"]
@@ -51,12 +55,17 @@ _K_CONST = 2  # pre-wrapped immediate -> rf[dest_slot]
 _K_LOAD = 3  # heap.load(handle, operands[0]) -> rf[dest_slot]
 _K_STORE = 4  # heap.store(handle, operands[0], operands[1])
 _K_VOID = 5  # no commit
+_NO_COMMIT = (_K_STATUS, _K_VOID)
 
 # CCU terminal kinds of a step
 _B_NONE = 0
 _B_UNCOND = 1
 _B_COND = 2
 _B_HALT = 3
+_B_OF = dict(zip(
+    (BranchKind.UNCONDITIONAL, BranchKind.CONDITIONAL, BranchKind.HALT),
+    (_B_UNCOND, _B_COND, _B_HALT),
+))
 
 # C-Box output selector modes
 _M_OFF = 0
@@ -69,18 +78,8 @@ class _Issue:
     """One PE's pre-compiled context entry (one operation issue)."""
 
     __slots__ = (
-        "pe",
-        "opcode",
-        "srcs",
-        "duration",
-        "energy",
-        "kind",
-        "func",
-        "dest_slot",
-        "value",
-        "handle",
-        "predicated",
-        "pipelined",
+        "pe", "opcode", "srcs", "duration", "energy", "kind", "dest_slot",
+        "value", "handle", "predicated", "pipelined",
     )
 
 
@@ -88,16 +87,8 @@ class _CBox:
     """Pre-validated C-Box context entry."""
 
     __slots__ = (
-        "status_pe",
-        "func",
-        "needs_read",
-        "read_pos",
-        "read_neg",
-        "write_pos",
-        "write_neg",
-        "pe_mode",
-        "pe_slot",
-        "ctrl_mode",
+        "status_pe", "func", "read_pos", "read_neg", "write_pos",
+        "write_neg", "needs_read", "pe_mode", "pe_slot", "ctrl_mode",
         "ctrl_slot",
     )
 
@@ -108,31 +99,281 @@ class _Step:
     __slots__ = ("ccnt", "issues", "cbox", "kind", "target", "taken_is_branch")
 
 
-def _fin_key(flight: list) -> Tuple[int, int]:
-    # (pe, issue sequence): the interpreter commits finishing operations
-    # in ascending-PE order, issue order within a PE
-    return (flight[2], flight[1])
+class _Trace:
+    """One (entry CCNT, in-flight signature) lowered to a function.
+
+    ``fn(rf, bits, heap, left, fl)`` runs ``n`` cycles (``left`` is the
+    cycle budget, ``fl`` the in-flight operands in and out) and returns
+    the successor index: 0 falls through, 1 takes a branch, -1 halts.
+    """
+
+    __slots__ = ("fn", "n", "succ", "keys", "energy", "ops", "ccnts", "source")
+
+
+class _Fault(Exception):
+    """Generated code's static fault (message) or runaway guard (none)."""
+
+
+#: globals of generated code: op semantics as ``_OPCODE`` plus ``_F``.
+#: No per-program name, so the source text alone keys :data:`_CODE`.
+_NS: Dict[str, object] = {
+    f"_{name}": spec.func for name, spec in OPS.items() if spec.func
+}
+_NS["_F"] = _Fault
+
+#: generated source -> function, a process-wide LRU of ``_CODE_SIZE``
+#: entries.  Lock-free: a lost race only compiles a source twice.
+_CODE: Dict[str, object] = {}
+_CODE_SIZE = 1024
+
+#: CBoxFunc -> (pos, neg) over stored ``{rp}``/``{rn}`` and status ``s``
+_COMBINE = {
+    CBoxFunc.STORE: ("s", "1 - s"),
+    CBoxFunc.STORE_NOT: ("1 - s", "s"),
+    CBoxFunc.AND: ("{rp} & s", "{rn} | (1 - s)"),
+    CBoxFunc.OR: ("{rp} | s", "{rn} & (1 - s)"),
+    CBoxFunc.AND_NOT: ("{rp} & (1 - s)", "{rn} | s"),
+    CBoxFunc.OR_NOT: ("{rp} | (1 - s)", "{rn} & s"),
+    CBoxFunc.FORK_AND: ("{rp} & s", "{rp} & (1 - s)"),
+}
+
+
+def _function(source: str):
+    """The function ``source`` defines (memoised in :data:`_CODE`)."""
+    fn = _CODE.pop(source, None)
+    metrics = get_metrics()
+    if metrics.enabled:
+        metrics.inc(f"sim.compile.codegen.{'miss' if fn is None else 'hit'}")
+    if fn is None:
+        scope: Dict[str, object] = {}
+        exec(compile(source, "<cgra-trace>", "exec"), _NS, scope)
+        fn = scope["_t"]
+    _CODE[source] = fn  # (re)inserted as the most recently used
+    try:
+        while len(_CODE) > _CODE_SIZE:
+            del _CODE[next(iter(_CODE))]
+    except (KeyError, RuntimeError):  # raced with another thread
+        pass
+    return fn
+
+
+def _sel(mode: int, slot: int) -> str:  # a C-Box output selector
+    return {_M_FRESH: "p", _M_FRESH_NEG: "q"}.get(mode, f"bits[{slot}]")
+
+
+class _Lowering:
+    """Generates one trace's function body, cycle by cycle.
+
+    A flight is ``[remaining, seq, rec, operand expressions]``.  Operands
+    are read inline where the operation commits, or into locals ``vN`` at
+    issue when it is multi-cycle or an earlier commit overwrites one.
+    """
+
+    def __init__(self, sig: tuple) -> None:
+        self.rows = set()  # RF rows bound as locals rN
+        self.heap_ops = set()  # "load" / "store"
+        self.body: List[str] = []
+        self.n_vals = 0
+        self.flights = [
+            [rem, seq, rec, self.fresh(len(rec.srcs))]
+            for seq, (rem, rec) in enumerate(sig)
+        ]
+        self.carried_in = [a for f in self.flights for a in f[3]]
+        self.seq = len(sig)
+        self.energy = 0
+        self.ops: Dict[int, int] = {}
+        self.keys = None  # successor keys; None if the code always raises
+
+    def fresh(self, n: int) -> List[str]:
+        self.n_vals += n
+        return [f"v{i}" for i in range(self.n_vals - n, self.n_vals)]
+
+    def read(self, src: Tuple[int, int]) -> str:
+        self.rows.add(src[0])
+        return f"r{src[0]}[{src[1]}]"
+
+    def capture(self, srcs) -> List[str]:
+        names = self.fresh(len(srcs))
+        if names:
+            reads = ", ".join(map(self.read, srcs))
+            self.body.append(f"{', '.join(names)}, = {reads},")
+        return names
+
+    def fault(self, message: str, exc: str = "_F") -> bool:
+        self.body.append(f"raise {exc}({message!r})")
+        return False
+
+    def step(self, k: int, step: _Step, last: bool) -> bool:
+        """Lower one cycle; False once it raised a static fault."""
+        body = self.body
+        body.append(f"if left <= {k}: raise _F")
+        busy = {f[2].pe for f in self.flights}
+        fin = []
+        for f in self.flights:  # finish countdown; duration < 1 never ends
+            f[0] = f[0] - 1 if f[0] > 0 else -1
+            if not f[0]:
+                fin.append(f)
+        self.flights = [f for f in self.flights if f[0]]
+        ccnt = step.ccnt
+        for rec in step.issues:
+            if rec.pe in busy and not rec.pipelined:
+                return self.fault(
+                    f"PE {rec.pe} issued {rec.opcode} at ccnt {ccnt} "
+                    "while busy"
+                )
+            self.energy += rec.energy
+            self.ops[rec.pe] = self.ops.get(rec.pe, 0) + 1
+            self.seq += 1
+            if rec.duration == 1:
+                fin.append([0, self.seq, rec, None])
+            else:
+                rem = rec.duration - 1 if rec.duration > 1 else -1
+                args = self.capture(rec.srcs)
+                self.flights.append([rem, self.seq, rec, args])
+        # the interpreter commits in ascending-PE order, issue order within
+        fin.sort(key=lambda f: (f[2].pe, f[1]))
+        for a, b in zip(fin, fin[1:]):
+            if a[2].pe == b[2].pe:
+                done = sum(1 for f in fin if f[2].pe == a[2].pe)
+                return self.fault(
+                    f"PE {a[2].pe} finishes {done} operations in one cycle "
+                    "(single write port)"
+                )
+        written = set()  # cells an earlier commit of this cycle writes
+        for f in fin:
+            rec = f[2]
+            if f[3] is None:
+                if written.intersection(rec.srcs):
+                    f[3] = self.capture(rec.srcs)
+                else:
+                    f[3] = [self.read(s) for s in rec.srcs]
+            if rec.kind not in _NO_COMMIT and rec.dest_slot is not None:
+                written.add((rec.pe, rec.dest_slot))
+
+        pred = None  # outPE expression; None while the C-Box drives none
+        cb = step.cbox
+        if cb is not None:
+            if cb.func is not None:
+                status = [
+                    f for f in fin
+                    if f[2].pe == cb.status_pe and f[2].kind == _K_STATUS
+                ]
+                if not status:  # the interpreter's C-Box raises this
+                    return self.fault(
+                        f"C-Box selected status of PE {cb.status_pe} but "
+                        "that PE produced no status this cycle",
+                        "RuntimeError",
+                    )
+                rec, args = status[0][2], status[0][3]
+                body.append(f"s = _{rec.opcode}({', '.join(args)})")
+                rp = f"bits[{cb.read_pos}]"
+                rn = "0" if cb.read_neg is None else f"bits[{cb.read_neg}]"
+                for name, form in zip("pq", _COMBINE[cb.func]):
+                    body.append(f"{name} = {form.format(rp=rp, rn=rn)}")
+            if cb.pe_mode and any(
+                f[2].predicated and f[2].kind not in _NO_COMMIT for f in fin
+            ):
+                body.append(f"o = {_sel(cb.pe_mode, cb.pe_slot)}")
+                pred = "o"
+            if last and step.kind == _B_COND and step.taken_is_branch:
+                body.append(f"c = {_sel(cb.ctrl_mode, cb.ctrl_slot)}")
+            if cb.func is not None:
+                for name, slot in (("p", cb.write_pos), ("q", cb.write_neg)):
+                    if slot is not None:
+                        body.append(f"bits[{slot}] = {name}")
+
+        for f in fin:  # commits
+            pe, rec, args = f[2].pe, f[2], f[3]
+            if rec.kind in _NO_COMMIT:
+                continue
+            if rec.kind == _K_STORE:
+                self.heap_ops.add("store")
+                line = f"store({rec.handle}, {args[0]}, {args[1]})"
+            else:
+                self.rows.add(pe)
+                if rec.kind == _K_VALUE:
+                    value = f"_{rec.opcode}({', '.join(args)})"
+                elif rec.kind == _K_CONST:
+                    value = str(rec.value)
+                else:
+                    self.heap_ops.add("load")
+                    value = f"load({rec.handle}, {args[0]})"
+                line = f"r{pe}[{rec.dest_slot}] = {value}"
+            if rec.predicated:
+                if pred is None:
+                    return self.fault(
+                        f"predicated {rec.opcode} on PE {pe} committed at "
+                        f"ccnt {ccnt} without a predication signal"
+                    )
+                line = f"if {pred}: {line}"
+            body.append(line)
+        return True
+
+    def terminal(self, step: _Step) -> None:
+        """The CCU word of the trace's last step: next trace or halt."""
+        if step.kind == _B_HALT:
+            if self.flights:
+                self.fault("halt with operations in flight")
+            else:
+                self.body.append("return -1")
+            return
+        out = [a for f in self.flights for a in f[3]]
+        if out:
+            self.body.append(f"fl[:] = ({', '.join(out)},)")
+        exit_sig = tuple((f[0], f[2]) for f in self.flights)
+        self.keys = ((step.ccnt + 1, exit_sig), (step.target, exit_sig))
+        if not step.taken_is_branch:  # also every _B_NONE
+            self.body.append("return 0")
+        else:
+            cond = "" if step.kind == _B_UNCOND else " if c else 0"
+            self.body.append(f"return 1{cond}")
+
+
+def _lower(steps: Tuple[_Step, ...], sig: tuple) -> _Trace:
+    """Lower ``steps`` entered with ``sig`` in flight to a :class:`_Trace`."""
+    low = _Lowering(sig)
+    for k, step in enumerate(steps):
+        if not low.step(k, step, step is steps[-1]):
+            break  # the generated code raises here
+    else:
+        low.terminal(steps[-1])
+    head = ["def _t(rf, bits, heap, left, fl):"]
+    head += [f"r{p} = rf[{p}]" for p in sorted(low.rows)]
+    head += [f"{op} = heap.{op}" for op in sorted(low.heap_ops)]
+    if low.carried_in:
+        head.append(f"{', '.join(low.carried_in)}, = fl")
+    tr = _Trace()
+    tr.source = "\n    ".join(head + low.body) + "\n"
+    tr.fn = _function(tr.source)
+    tr.n = len(steps)
+    tr.succ = [None, None]
+    tr.keys = low.keys
+    tr.energy = low.energy
+    tr.ops = tuple(low.ops.items())
+    tr.ccnts = tuple(s.ccnt for s in steps)
+    metrics = get_metrics()
+    if metrics.enabled:
+        metrics.inc("sim.compile.traces")
+    return tr
 
 
 class CompiledProgram:
-    """A context program lowered to step records and fused traces."""
+    """A context program lowered to step records and generated traces."""
 
     def __init__(
-        self,
-        program: ContextProgram,
-        comp: Composition,
-        steps: List[_Step],
+        self, program: ContextProgram, comp: Composition, steps: List[_Step]
     ) -> None:
-        # weak: the compile memo holds this object strongly, so a strong
-        # back-reference would keep every program alive forever and the
-        # memo's weakref eviction could never fire.  Any caller actually
-        # *running* the compiled program holds the program itself (the
-        # simulator keeps it), so the deref below cannot fail mid-run.
+        # weak: the memo holds this object strongly, so a strong back-
+        # reference would keep every program alive and its weakref
+        # eviction could never fire.  A caller *running* the compiled
+        # program holds the program itself, so the deref cannot fail.
         self._program_ref = weakref.ref(program)
         self.comp = comp
         self.steps = steps
         #: entry ccnt -> tuple of steps up to the next branch/halt point
         self._traces: Dict[int, Tuple[_Step, ...]] = {}
+        #: (entry ccnt, in-flight signature) -> generated trace
+        self._lowered: Dict[tuple, _Trace] = {}
         self._ctx = _err_suffix(program)
 
     @property
@@ -148,29 +389,27 @@ class CompiledProgram:
     # -- traces ----------------------------------------------------------
 
     def _build_trace(self, entry: int) -> Tuple[_Step, ...]:
-        if not 0 <= entry < len(self.steps):
-            from repro.sim.machine import SimulationError
-
+        steps = self.steps
+        if not 0 <= entry < len(steps):
             raise SimulationError(
                 f"CCNT {entry} out of program range{self._ctx}"
             )
-        out = []
-        i = entry
-        last = len(self.steps) - 1
-        while True:
-            step = self.steps[i]
-            out.append(step)
-            if step.kind != _B_NONE or i == last:
-                break
-            i += 1
-        trace = tuple(out)
-        self._traces[entry] = trace
+        end = entry
+        while steps[end].kind == _B_NONE and end < len(steps) - 1:
+            end += 1
+        trace = self._traces[entry] = tuple(steps[entry : end + 1])
         return trace
 
-    @property
-    def n_traces(self) -> int:
-        """Traces materialised so far (built lazily per entry point)."""
-        return len(self._traces)
+    def _trace(self, key: tuple) -> _Trace:
+        tr = self._lowered.get(key)
+        if tr is None:
+            steps = self._traces.get(key[0]) or self._build_trace(key[0])
+            tr = self._lowered[key] = _lower(steps, key[1])
+        return tr
+
+    def trace_source(self, entry: int) -> str:
+        """Generated source of the trace entered idle at CCNT ``entry``."""
+        return self._trace((entry, ())).source
 
     # -- execution -------------------------------------------------------
 
@@ -189,238 +428,47 @@ class CompiledProgram:
         ``rf`` and ``cbox_bits`` are the live simulator state (mutated
         in place, exactly like the interpreter's phases would).
         """
-        from repro.sim.machine import (
-            RunResult,
-            SimulationError,
-            emit_context_profile,
-        )
-
-        steps = self.steps
-        ctx = self._ctx
-        traces = self._traces
-        bits = cbox_bits
-        n_pes = self.comp.n_pes
-        observing = (
-            tracer is not None and tracer.enabled
-        ) or get_metrics().enabled
-        visits: Optional[List[int]] = [0] * len(steps) if observing else None
-
-        statuses: List[Optional[int]] = [None] * n_pes
-        pending: List[list] = []  # [remaining, seq, pe, issue, operands]
-        busy = [0] * n_pes  # multi-cycle operations in flight per PE
-        ops_executed = [0] * n_pes
+        tr = self._trace((start_ccnt, ()))
+        fl: list = []
+        seen: List[_Trace] = []  # traces run since the last fold
+        tally: Counter = Counter()
+        cycles = taken = 0
+        try:
+            while True:
+                i = tr.fn(rf, cbox_bits, heap, max_cycles - cycles, fl)
+                cycles += tr.n
+                seen.append(tr)
+                if i < 0:
+                    break
+                if i:
+                    taken += 1
+                    if len(seen) > 4096:  # bounds memory on long loops
+                        tally.update(seen)
+                        seen.clear()
+                nxt = tr.succ[i]
+                if nxt is None:
+                    nxt = tr.succ[i] = self._trace(tr.keys[i])
+                tr = nxt
+        except _Fault as exc:
+            runaway = f"exceeded {max_cycles} cycles (runaway loop?)"
+            message = exc.args[0] if exc.args else runaway
+            raise SimulationError(message + self._ctx) from None
+        tally.update(seen)
+        ops_executed = [0] * self.comp.n_pes
         energy = 0  # integer micro-units (ENERGY_SCALE)
-        branches_taken = 0
-        cycles = 0
-        seq = 0
-        ccnt = start_ccnt
-        out_ctrl: Optional[int] = None
-
-        while True:
-            trace = traces.get(ccnt)
-            if trace is None:
-                trace = self._build_trace(ccnt)
-            for step in trace:
-                if cycles >= max_cycles:
-                    raise SimulationError(
-                        f"exceeded {max_cycles} cycles (runaway loop?){ctx}"
-                    )
-                cycles += 1
-                if visits is not None:
-                    visits[step.ccnt] += 1
-                out_pe: Optional[int] = None
-                out_ctrl = None
-
-                # ---- finish countdown (interpreter phase 2 timing) ----
-                finishing: Optional[List[list]] = None
-                if pending:
-                    still = []
-                    for flight in pending:
-                        flight[0] -= 1
-                        if flight[0]:
-                            still.append(flight)
-                        else:
-                            if finishing is None:
-                                finishing = [flight]
-                            else:
-                                finishing.append(flight)
-                    if finishing is not None:
-                        pending = still
-
-                # ---- issue (interpreter phase 1: all reads before any
-                # commit of this cycle) ----
-                for rec in step.issues:
-                    pe = rec.pe
-                    if busy[pe] and not rec.pipelined:
-                        raise SimulationError(
-                            f"PE {pe} issued {rec.opcode} at ccnt "
-                            f"{step.ccnt} while busy{ctx}"
-                        )
-                    srcs = rec.srcs
-                    n = len(srcs)
-                    if n == 2:
-                        a = srcs[0]
-                        b = srcs[1]
-                        operands = (rf[a[0]][a[1]], rf[b[0]][b[1]])
-                    elif n == 1:
-                        a = srcs[0]
-                        operands = (rf[a[0]][a[1]],)
-                    else:
-                        operands = tuple(rf[p][s] for p, s in srcs)
-                    ops_executed[pe] += 1
-                    energy += rec.energy
-                    seq += 1
-                    if rec.duration == 1:
-                        if finishing is None:
-                            finishing = [[0, seq, pe, rec, operands]]
-                        else:
-                            finishing.append([0, seq, pe, rec, operands])
-                    else:
-                        busy[pe] += 1
-                        pending.append(
-                            [rec.duration - 1, seq, pe, rec, operands]
-                        )
-
-                # ---- statuses + single-write-port check ----
-                set_statuses: Optional[List[int]] = None
-                if finishing is not None:
-                    if len(finishing) > 1:
-                        finishing.sort(key=_fin_key)
-                        prev = -1
-                        run = 0
-                        for flight in finishing:
-                            if flight[2] == prev:
-                                run += 1
-                            else:
-                                prev = flight[2]
-                                run = 1
-                            if run == 2:
-                                done = sum(
-                                    1 for f in finishing if f[2] == prev
-                                )
-                                raise SimulationError(
-                                    f"PE {prev} finishes {done} operations "
-                                    f"in one cycle (single write port){ctx}"
-                                )
-                    for flight in finishing:
-                        rec = flight[3]
-                        if rec.kind == _K_STATUS:
-                            s_pe = flight[2]
-                            statuses[s_pe] = rec.func(*flight[4])
-                            if set_statuses is None:
-                                set_statuses = [s_pe]
-                            else:
-                                set_statuses.append(s_pe)
-                        if rec.duration != 1:
-                            busy[flight[2]] -= 1
-
-                # ---- C-Box ----
-                cb = step.cbox
-                if cb is not None:
-                    func = cb.func
-                    if func is not None:
-                        s = statuses[cb.status_pe]
-                        if s is None:
-                            raise RuntimeError(
-                                f"C-Box selected status of PE "
-                                f"{cb.status_pe} but that PE produced no "
-                                "status this cycle"
-                            )
-                        if cb.needs_read:
-                            rp = bits[cb.read_pos]
-                            rn = (
-                                bits[cb.read_neg]
-                                if cb.read_neg is not None
-                                else 0
-                            )
-                        else:
-                            rp = rn = 0
-                        pos, neg = func.combine(rp, rn, s)
-                    else:
-                        pos = neg = 0
-                    m = cb.pe_mode
-                    if m:
-                        out_pe = (
-                            pos
-                            if m == _M_FRESH
-                            else neg
-                            if m == _M_FRESH_NEG
-                            else bits[cb.pe_slot]
-                        )
-                    m = cb.ctrl_mode
-                    if m:
-                        out_ctrl = (
-                            pos
-                            if m == _M_FRESH
-                            else neg
-                            if m == _M_FRESH_NEG
-                            else bits[cb.ctrl_slot]
-                        )
-                    if func is not None:
-                        if cb.write_pos is not None:
-                            bits[cb.write_pos] = pos
-                        if cb.write_neg is not None:
-                            bits[cb.write_neg] = neg
-
-                if set_statuses is not None:
-                    for p in set_statuses:
-                        statuses[p] = None
-
-                # ---- commits (interpreter phase 3) ----
-                if finishing is not None:
-                    for flight in finishing:
-                        rec = flight[3]
-                        kind = rec.kind
-                        if kind == _K_STATUS or kind == _K_VOID:
-                            continue
-                        if rec.predicated:
-                            if out_pe is None:
-                                raise SimulationError(
-                                    f"predicated {rec.opcode} on PE "
-                                    f"{flight[2]} committed at ccnt "
-                                    f"{step.ccnt} without a predication "
-                                    f"signal{ctx}"
-                                )
-                            if out_pe == 0:
-                                continue  # squashed
-                        if kind == _K_VALUE:
-                            rf[flight[2]][rec.dest_slot] = rec.func(
-                                *flight[4]
-                            )
-                        elif kind == _K_CONST:
-                            rf[flight[2]][rec.dest_slot] = rec.value
-                        elif kind == _K_LOAD:
-                            rf[flight[2]][rec.dest_slot] = heap.load(
-                                rec.handle, flight[4][0]
-                            )
-                        else:  # _K_STORE
-                            operands = flight[4]
-                            heap.store(rec.handle, operands[0], operands[1])
-
-            # ---- trace terminal: next CCNT (interpreter phase 4) ----
-            last = trace[-1]
-            kind = last.kind
-            if kind == _B_HALT:
-                if pending:
-                    raise SimulationError(
-                        f"halt with operations in flight{ctx}"
-                    )
-                if visits is not None:
-                    emit_context_profile(
-                        tracer, self.program, visits, cycles
-                    )
-                return RunResult(
-                    cycles=cycles,
-                    ops_executed=ops_executed,
-                    energy=energy / ENERGY_SCALE,
-                    branches_taken=branches_taken,
-                )
-            if kind == _B_UNCOND or (kind == _B_COND and out_ctrl):
-                ccnt = last.target
-                if last.taken_is_branch:
-                    branches_taken += 1
-            else:
-                ccnt = last.ccnt + 1
+        visits: Optional[List[int]] = None
+        if (tracer is not None and tracer.enabled) or get_metrics().enabled:
+            visits = [0] * len(self.steps)
+        for t, n in tally.items():
+            energy += t.energy * n
+            for pe, count in t.ops:
+                ops_executed[pe] += count * n
+            if visits is not None:
+                for ccnt in t.ccnts:
+                    visits[ccnt] += n
+        if visits is not None:
+            emit_context_profile(tracer, self.program, visits, cycles)
+        return RunResult(cycles, ops_executed, energy / ENERGY_SCALE, taken)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +484,7 @@ _COMPILED: Dict[int, list] = {}
 
 
 def _memo_count(event: str) -> None:
-    """``sim.compile.memo.{hit,miss,evict}`` counters (no-ops while
-    metrics are disabled, like all obs instrumentation)."""
+    """``sim.compile.memo.{hit,miss,evict}`` counters (no-op when off)."""
     try:
         metrics = get_metrics()
     except Exception:  # interpreter teardown (weakref finalizer path)
@@ -451,22 +498,17 @@ def _memo_evict(key: int) -> None:
     _memo_count("evict")
 
 
-def _err_suffix(program: ContextProgram) -> str:
-    return (
-        f" [kernel={program.kernel_name!r}, "
-        f"composition={program.composition_name!r}]"
-    )
-
-
 def compile_program(
     program: ContextProgram, comp: Composition
 ) -> CompiledProgram:
-    """Compile (memoised per ``(program, composition)`` identity)."""
+    """Compile (memoised per program identity and equal composition)."""
     key = id(program)
     entries = _COMPILED.get(key)
     if entries is not None:
+        # identity first; equality catches the fresh but equal
+        # Composition that unpickling every served job yields
         for cached_comp, compiled in entries:
-            if cached_comp is comp:
+            if cached_comp is comp or cached_comp == comp:
                 _memo_count("hit")
                 return compiled
     _memo_count("miss")
@@ -481,20 +523,19 @@ def compile_program(
     if metrics.enabled:
         metrics.inc("sim.compile.count")
         metrics.inc("sim.compile.steps", len(compiled.steps))
+    _COMPILED.setdefault(key, []).append((comp, compiled))
     if entries is None:
-        _COMPILED[key] = [(comp, compiled)]
         weakref.finalize(program, _memo_evict, key)
-    else:
-        entries.append((comp, compiled))
     return compiled
 
 
 def _compile(program: ContextProgram, comp: Composition) -> CompiledProgram:
-    from repro.sim.machine import SimulationError
-
     ctx = _err_suffix(program)
+
+    def err(message: str) -> SimulationError:
+        return SimulationError(message + ctx)
+
     n_pes = comp.n_pes
-    icn = comp.interconnect
     pes = comp.pes
     steps: List[_Step] = []
     for ccnt in range(program.n_cycles):
@@ -512,132 +553,97 @@ def _compile(program: ContextProgram, comp: Composition) -> CompiledProgram:
             rec.predicated = entry.predicated
             rec.pipelined = pes[pe].pipelined
             rec.dest_slot = entry.dest_slot
-            rec.func = None
-            rec.value = None
-            rec.handle = None
+            rec.value = rec.handle = None
             srcs = []
             rf_size = pes[pe].regfile_size
             for sel in entry.srcs:
                 if sel.is_local:
                     if not 0 <= sel.slot < rf_size:
-                        raise SimulationError(
+                        raise err(
                             f"PE {pe} reads RF slot {sel.slot} at ccnt "
-                            f"{ccnt}, register file has {rf_size} "
-                            f"entries{ctx}"
+                            f"{ccnt}, register file has {rf_size} entries"
                         )
                     srcs.append((pe, sel.slot))
-                else:
-                    src_pe = sel.pe
-                    producer = (
-                        program.pe_contexts[src_pe][ccnt]
-                        if 0 <= src_pe < n_pes
-                        else None
+                    continue
+                src_pe = sel.pe
+                producer = None
+                if 0 <= src_pe < n_pes:
+                    producer = program.pe_contexts[src_pe][ccnt]
+                if producer is None or producer.out_addr is None:
+                    raise err(
+                        f"PE {pe} reads PE {src_pe}'s out-port at ccnt "
+                        f"{ccnt}, but no value is exposed"
                     )
-                    if producer is None or producer.out_addr is None:
-                        raise SimulationError(
-                            f"PE {pe} reads PE {src_pe}'s out-port at "
-                            f"ccnt {ccnt}, but no value is exposed{ctx}"
-                        )
-                    if not icn.has_link(src_pe, pe):
-                        raise SimulationError(
-                            f"PE {pe} has no input from PE {src_pe}{ctx}"
-                        )
-                    srcs.append((src_pe, producer.out_addr))
+                if not comp.interconnect.has_link(src_pe, pe):
+                    raise err(f"PE {pe} has no input from PE {src_pe}")
+                srcs.append((src_pe, producer.out_addr))
             rec.srcs = tuple(srcs)
+            where = f"{opcode} on PE {pe} at ccnt {ccnt}"
             if opcode == "CONST":
                 if entry.immediate is None or entry.dest_slot is None:
-                    raise SimulationError(
-                        f"CONST on PE {pe} at ccnt {ccnt} lacks an "
-                        f"immediate or destination{ctx}"
-                    )
+                    raise err(f"{where} lacks an immediate or destination")
                 rec.kind = _K_CONST
                 rec.value = wrap32(entry.immediate)
             elif opcode == "DMA_LOAD":
                 if entry.immediate is None or entry.dest_slot is None:
-                    raise SimulationError(
-                        f"DMA_LOAD on PE {pe} at ccnt {ccnt} lacks a "
-                        f"handle or destination{ctx}"
-                    )
+                    raise err(f"{where} lacks a handle or destination")
                 rec.kind = _K_LOAD
                 rec.handle = entry.immediate
             elif opcode == "DMA_STORE":
                 if entry.immediate is None:
-                    raise SimulationError(
-                        f"DMA_STORE on PE {pe} at ccnt {ccnt} lacks a "
-                        f"heap handle{ctx}"
-                    )
+                    raise err(f"{where} lacks a heap handle")
                 rec.kind = _K_STORE
                 rec.handle = entry.immediate
             else:
                 spec = OPS[opcode]
                 if len(srcs) != spec.arity:
-                    raise SimulationError(
-                        f"{opcode} on PE {pe} at ccnt {ccnt} has "
-                        f"{len(srcs)} operands, expects {spec.arity}{ctx}"
+                    raise err(
+                        f"{where} has {len(srcs)} operands, expects "
+                        f"{spec.arity}"
                     )
-                rec.func = spec.func
                 if spec.produces_status:
                     rec.kind = _K_STATUS
                 elif spec.produces_value:
                     if entry.dest_slot is None:
-                        raise SimulationError(
-                            f"{opcode} on PE {pe} at ccnt {ccnt} has no "
-                            f"destination slot{ctx}"
-                        )
+                        raise err(f"{where} has no destination slot")
                     rec.kind = _K_VALUE
                 else:
                     rec.kind = _K_VOID
-            if rec.dest_slot is not None and not (
-                0 <= rec.dest_slot < rf_size
-            ):
-                raise SimulationError(
+            if rec.dest_slot is not None and not 0 <= rec.dest_slot < rf_size:
+                raise err(
                     f"PE {pe} writes RF slot {rec.dest_slot} at ccnt "
-                    f"{ccnt}, register file has {rf_size} entries{ctx}"
+                    f"{ccnt}, register file has {rf_size} entries"
                 )
             issues.append(rec)
 
-        cbox = _compile_cbox(program, comp, ccnt, ctx)
-
+        cbox = _compile_cbox(program, comp, ccnt, err)
         ccu = program.ccu_contexts[ccnt]
         step = _Step()
         step.ccnt = ccnt
         step.issues = tuple(issues)
         step.cbox = cbox
-        step.target = -1
-        step.taken_is_branch = False
-        if ccu.kind is BranchKind.HALT:
-            step.kind = _B_HALT
-        elif ccu.kind is BranchKind.UNCONDITIONAL:
-            step.kind = _B_UNCOND
-            step.target = ccu.target
-            step.taken_is_branch = ccu.target != ccnt + 1
-        elif ccu.kind is BranchKind.CONDITIONAL:
-            if cbox is None or cbox.ctrl_mode == _M_OFF:
-                raise SimulationError(
-                    f"conditional branch at ccnt {ccnt} has no "
-                    f"branch-selection signal from the C-Box{ctx}"
-                )
-            step.kind = _B_COND
-            step.target = ccu.target
-            step.taken_is_branch = ccu.target != ccnt + 1
-        else:
-            step.kind = _B_NONE
-        if step.target >= program.n_cycles or (
-            step.kind in (_B_UNCOND, _B_COND) and step.target < 0
-        ):
-            raise SimulationError(
-                f"branch at ccnt {ccnt} targets CCNT {step.target}, "
-                f"out of program range{ctx}"
+        step.target, step.taken_is_branch = -1, False
+        step.kind = _B_OF.get(ccu.kind, _B_NONE)
+        if step.kind == _B_COND and (cbox is None or cbox.ctrl_mode == _M_OFF):
+            raise err(
+                f"conditional branch at ccnt {ccnt} has no "
+                "branch-selection signal from the C-Box"
             )
+        if step.kind in (_B_UNCOND, _B_COND):
+            step.target = ccu.target
+            step.taken_is_branch = ccu.target != ccnt + 1
+            if not 0 <= step.target < program.n_cycles:
+                raise err(
+                    f"branch at ccnt {ccnt} targets CCNT {step.target}, "
+                    "out of program range"
+                )
         steps.append(step)
     return CompiledProgram(program, comp, steps)
 
 
 def _compile_cbox(
-    program: ContextProgram, comp: Composition, ccnt: int, ctx: str
+    program: ContextProgram, comp: Composition, ccnt: int, err
 ) -> Optional[_CBox]:
-    from repro.sim.machine import SimulationError
-
     entry = program.cbox_contexts[ccnt]
     if entry is None or entry.is_idle:
         return None
@@ -645,30 +651,24 @@ def _compile_cbox(
 
     def check_slot(slot: Optional[int], role: str) -> None:
         if slot is not None and not 0 <= slot < slots:
-            raise SimulationError(
+            raise err(
                 f"C-Box {role} slot {slot} at ccnt {ccnt} out of range "
-                f"(size {slots}){ctx}"
+                f"(size {slots})"
             )
 
-    cb = _CBox()
-    cb.func = entry.func
-    cb.status_pe = entry.status_pe
-    if entry.func is not None and not (
-        0 <= entry.status_pe < comp.n_pes
-    ):
-        raise SimulationError(
+    if entry.func is not None and not 0 <= entry.status_pe < comp.n_pes:
+        raise err(
             f"C-Box selects status of PE {entry.status_pe} at ccnt "
-            f"{ccnt}, composition has {comp.n_pes} PEs{ctx}"
+            f"{ccnt}, composition has {comp.n_pes} PEs"
         )
+    for slot in (entry.read_pos, entry.read_neg):
+        check_slot(slot, "read")
+    for slot in (entry.write_pos, entry.write_neg):
+        check_slot(slot, "write")
+    cb = _CBox()
+    for name in _CBox.__slots__[:6]:  # status_pe .. write_neg, as given
+        setattr(cb, name, getattr(entry, name))
     cb.needs_read = entry.func is not None and entry.func.needs_read
-    check_slot(entry.read_pos, "read")
-    check_slot(entry.read_neg, "read")
-    check_slot(entry.write_pos, "write")
-    check_slot(entry.write_neg, "write")
-    cb.read_pos = entry.read_pos
-    cb.read_neg = entry.read_neg
-    cb.write_pos = entry.write_pos
-    cb.write_neg = entry.write_neg
 
     def mode_of(sel: Optional[int], role: str) -> Tuple[int, int]:
         if sel is None:

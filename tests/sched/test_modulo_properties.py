@@ -100,3 +100,38 @@ def test_auto_never_worse_than_list(program, inputs, seed):
         f"auto {got.run_cycles} cycles > list {ref.run_cycles} "
         f"({len(s_auto.modulo_loops)} pipelined loops)"
     )
+
+
+def test_auto_keeps_the_list_homes():
+    """Regression: the inner loop's rotated form homed ``v0`` on another
+    PE than its list form.  The outer loop never runs, yet the write of
+    ``v0`` after it needed a fresh constant on the new home and cost one
+    cycle; auto must keep the list realisation there."""
+    inner = [
+        (
+            "assign",
+            "v0",
+            ("bin", "IADD", ("const", -2),
+             ("bin", "IADD", ("const", 0), ("const", -1))),
+        )
+    ]
+    program = [
+        ("dynwhile", "v1", 2, [("loop", 1, inner)]),
+        ("assign", "v0", ("const", 0)),
+    ]
+    kernel, arr = lower(program)
+    livein = dict.fromkeys(VARS, 0)
+    initial = [-100] * ARRAY_LEN
+    s_list = schedule_kernel(kernel, COMP)
+    s_auto = schedule_kernel(kernel, COMP, scheduler_mode="auto")
+    ref = invoke_kernel(
+        kernel, COMP, livein, {"arr": list(initial)}, schedule=s_list
+    )
+    got = invoke_kernel(
+        kernel, COMP, livein, {"arr": list(initial)}, schedule=s_auto
+    )
+    assert got.results == ref.results
+    assert got.run_cycles <= ref.run_cycles
+    assert {v: s_auto.home_of(v)[0] for v in s_auto.var_homes} == {
+        v: s_list.home_of(v)[0] for v in s_list.var_homes
+    }

@@ -10,6 +10,8 @@ from one shared schedule, so any divergence is the simulator's fault,
 not the scheduler's.
 """
 
+import sys
+
 import pytest
 
 from repro.arch.cbox import FRESH_NEG, CBoxFunc, CBoxOp
@@ -448,3 +450,261 @@ class TestPlumbing:
         program = generate_contexts(schedule, comp, kernel)
         first = compile_program(program, comp)
         assert compile_program(program, comp) is first
+
+
+def _outcome(comp, prog, backend, heap=None, **kw):
+    """(result or error, RF, heap contents) of one run on ``backend``."""
+    sim = CGRASimulator(comp, prog, heap, backend=backend, **kw)
+    try:
+        result = sim.run()
+    except (SimulationError, RuntimeError) as exc:
+        result = (type(exc), str(exc))
+    heap_state = sorted((h, list(a)) for h, a in sim.heap.items())
+    return result, [list(row) for row in sim.rf], heap_state
+
+
+def _assert_backends_agree(comp, prog, **kw):
+    ref = _outcome(comp, prog, "interpreter", **kw)
+    got = _outcome(comp, prog, "compiled", **kw)
+    assert got == ref
+    return got
+
+
+def _branch_with_mul_in_flight(comp, status_value, tail):
+    """IMUL (duration 2) issued with a conditional branch, so it
+    finishes in the first cycle of whichever successor trace runs.
+
+    ``tail(prog)`` fills in what both successors issue at CCNT 3/4.
+    """
+    prog = _empty(comp, 6)
+    prog.pe_contexts[0][0] = PEContext(
+        "CONST", immediate=status_value, dest_slot=0
+    )
+    prog.pe_contexts[1][0] = PEContext("CONST", immediate=6, dest_slot=0)
+    prog.pe_contexts[0][1] = PEContext("CONST", immediate=5, dest_slot=1)
+    prog.pe_contexts[1][1] = PEContext("CONST", immediate=7, dest_slot=1)
+    prog.pe_contexts[0][2] = PEContext(
+        "IFGT", srcs=(SrcSel.rf(0), SrcSel.rf(1))
+    )
+    prog.pe_contexts[1][2] = PEContext(
+        "IMUL", srcs=(SrcSel.rf(0), SrcSel.rf(1)), dest_slot=2, duration=2
+    )
+    prog.cbox_contexts[2] = CBoxOp(
+        status_pe=0,
+        func=CBoxFunc.STORE,
+        write_pos=0,
+        write_neg=1,
+        out_ctrl_slot=FRESH_NEG,
+    )
+    prog.ccu_contexts[2] = CCUEntry(BranchKind.CONDITIONAL, 4)
+    prog.ccu_contexts[3] = CCUEntry(BranchKind.UNCONDITIONAL, 5)
+    prog.pe_contexts[1][5] = PEContext(
+        "IADD", srcs=(SrcSel.rf(2), SrcSel.rf(0)), dest_slot=3
+    )
+    prog.ccu_contexts[5] = CCUEntry(BranchKind.HALT)
+    tail(prog)
+    return prog
+
+
+class TestInFlightAcrossTraces:
+    """Traces entered with a multi-cycle operation still in flight."""
+
+    @pytest.mark.parametrize("status", [9, 1])  # falls through / branches
+    def test_mul_finishes_in_either_successor(self, status):
+        comp = mesh_composition(4, mul_duration=2)
+
+        def tail(prog):
+            prog.pe_contexts[2][3] = PEContext(
+                "CONST", immediate=1, dest_slot=0
+            )
+            prog.pe_contexts[2][4] = PEContext(
+                "CONST", immediate=2, dest_slot=0
+            )
+
+        prog = _branch_with_mul_in_flight(comp, status, tail)
+        result, rf, _ = _assert_backends_agree(comp, prog)
+        assert rf[1][2] == 42 and rf[1][3] == 48
+        assert rf[2][0] == (1 if status > 5 else 2)
+        lowered = compile_program(prog, comp)._lowered
+        entry = 3 if status > 5 else 4
+        assert [len(sig) for ccnt, sig in lowered if ccnt == entry] == [1]
+
+    @pytest.mark.parametrize("status", [9, 1])
+    def test_busy_conflict_across_boundary(self, status):
+        comp = mesh_composition(4, mul_duration=2)
+
+        def tail(prog):  # PE 1 issues while its IMUL is still running
+            for ccnt in (3, 4):
+                prog.pe_contexts[1][ccnt] = PEContext(
+                    "CONST", immediate=1, dest_slot=4
+                )
+
+        prog = _branch_with_mul_in_flight(comp, status, tail)
+        (kind, message), _, _ = _assert_backends_agree(comp, prog)
+        assert kind is SimulationError and "while busy" in message
+
+    @pytest.mark.parametrize("status", [9, 1])
+    def test_write_port_conflict_across_boundary(self, status):
+        comp = mesh_composition(4, mul_duration=2, pipelined=True)
+
+        def tail(prog):  # a 1-cycle op finishing with the IMUL
+            for ccnt in (3, 4):
+                prog.pe_contexts[1][ccnt] = PEContext(
+                    "CONST", immediate=1, dest_slot=4
+                )
+
+        prog = _branch_with_mul_in_flight(comp, status, tail)
+        (kind, message), _, _ = _assert_backends_agree(comp, prog)
+        assert kind is SimulationError and "single write port" in message
+
+    @pytest.mark.parametrize("max_cycles", [9, 10, 11])
+    def test_runaway_guard_mid_trace(self, max_cycles):
+        """A 4-cycle loop body: the guard fires inside the trace, after
+        the cycles before it committed."""
+        comp = mesh_composition(4)
+        prog = _empty(comp, 4)
+        prog.pe_contexts[1][0] = PEContext("CONST", immediate=1, dest_slot=0)
+        for ccnt in range(1, 4):  # r1[0] doubles every cycle
+            prog.pe_contexts[1][ccnt] = PEContext(
+                "IADD", srcs=(SrcSel.rf(0), SrcSel.rf(0)), dest_slot=0
+            )
+        for ccnt in range(4):
+            prog.pe_contexts[2][ccnt] = PEContext(
+                "CONST", immediate=ccnt + 1, dest_slot=ccnt
+            )
+        prog.ccu_contexts[3] = CCUEntry(BranchKind.UNCONDITIONAL, 0)
+        (kind, message), rf, _ = _assert_backends_agree(
+            comp, prog, max_cycles=max_cycles
+        )
+        assert kind is SimulationError and str(max_cycles) in message
+        assert rf[1][0] == 2 ** ((max_cycles - 1) % 4)
+
+    def test_one_program_from_four_threads(self):
+        """``serve --workers 0`` and the pool's thread fallback run one
+        shared CompiledProgram concurrently; lowering races included."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        kernel = adpcm.build_decoder_kernel()
+        comp = mesh_composition(9, pipelined=True)
+        schedule = schedule_kernel(kernel, comp)
+        program = generate_contexts(schedule, comp, kernel)
+        packed, expect = adpcm.encoded_reference(16)
+
+        def run(gain):
+            return invoke_kernel(
+                kernel,
+                comp,
+                {"n": 16, "gain": gain},
+                {
+                    "inp": list(packed),
+                    "outp": [0] * 16,
+                    "steptab": list(adpcm.STEP_TABLE),
+                    "indextab": list(adpcm.INDEX_TABLE),
+                },
+                program=program,
+                backend="compiled",
+            )
+
+        gains = [4096, 2048, 1024, 512] * 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch mid-trace and mid-lowering
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                threaded = list(pool.map(run, gains, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for gain, got in zip(gains, threaded):
+            ref = run(gain)
+            assert got.run == ref.run
+            assert got.results == ref.results
+            out = kernel.arrays[1].handle
+            assert got.heap.array(out) == ref.heap.array(out)
+        assert threaded[0].heap.array(kernel.arrays[1].handle) == expect
+
+
+class TestGeneratedCode:
+    def test_equal_composition_hits_memo(self):
+        """A pool worker unpickles a fresh but equal Composition per job;
+        it must reuse the compiled program, not append another."""
+        import pickle
+
+        from repro import obs
+        from repro.sim.compiled import _COMPILED
+
+        kernel = gcd.build_kernel()
+        comp = mesh_composition(4)
+        schedule = schedule_kernel(kernel, comp)
+        program = generate_contexts(schedule, comp, kernel)
+        first = compile_program(program, comp)
+        with obs.observe() as session:
+            for _ in range(5):
+                fresh = pickle.loads(pickle.dumps(comp))
+                assert fresh is not comp and fresh == comp
+                assert compile_program(program, fresh) is first
+        assert session.metrics.counter_value("sim.compile.memo.hit") == 5
+        assert session.metrics.counter_value("sim.compile.memo.miss") == 0
+        assert len(_COMPILED[id(program)]) == 1
+
+    def test_trace_source_and_counters(self):
+        """Equal programs share generated code through the source memo."""
+        from repro import obs
+
+        kernel = gcd.build_kernel()
+        comp = mesh_composition(4)
+        schedule = schedule_kernel(kernel, comp)
+        counts = []
+        for _ in range(2):
+            program = generate_contexts(schedule, comp, kernel)
+            with obs.observe() as session:
+                run_invocation(
+                    program, comp, {"a": 1071, "b": 462}, backend="compiled"
+                )
+            counts.append(
+                [
+                    session.metrics.counter_value(f"sim.compile.{name}")
+                    for name in ("traces", "codegen.hit", "codegen.miss")
+                ]
+            )
+        (traces, _, _), (traces2, hit2, miss2) = counts
+        assert traces == traces2 == sum(counts[0][1:]) > 1
+        assert (hit2, miss2) == (traces, 0)
+        source = compile_program(program, comp).trace_source(0)
+        assert source.startswith("def _t(rf, bits, heap, left, fl):")
+        compile(source, "<trace>", "exec")
+
+    def test_reads_see_values_from_before_the_cycle(self):
+        """PE 1 reads PE 0's out-port in the cycle PE 0 overwrites the
+        exposed slot: the read sees the old value (phase 1 before 3)."""
+        comp = mesh_composition(4)
+        prog = _empty(comp, 2)
+        prog.pe_contexts[0][0] = PEContext("CONST", immediate=5, dest_slot=1)
+        prog.pe_contexts[0][1] = PEContext(
+            "CONST", immediate=9, dest_slot=1, out_addr=1
+        )
+        prog.pe_contexts[1][1] = PEContext(
+            "MOVE", srcs=(SrcSel.port(0),), dest_slot=0
+        )
+        prog.ccu_contexts[1] = CCUEntry(BranchKind.HALT)
+        _, rf, _ = _assert_backends_agree(comp, prog)
+        assert (rf[0][1], rf[1][0]) == (9, 5)
+
+    def test_code_memo_is_bounded(self, monkeypatch):
+        """The process-wide code memo evicts its least recently used
+        functions beyond its size; evicted traces keep running."""
+        from repro.sim import compiled
+
+        monkeypatch.setattr(compiled, "_CODE", {})
+        monkeypatch.setattr(compiled, "_CODE_SIZE", 2)
+        kernel = gcd.build_kernel()
+        comp = mesh_composition(4)
+        program = generate_contexts(
+            schedule_kernel(kernel, comp), comp, kernel
+        )
+        for a, b in ((1071, 462), (7, 13)):
+            ref = run_invocation(program, comp, {"a": a, "b": b})
+            got = run_invocation(
+                program, comp, {"a": a, "b": b}, backend="compiled"
+            )
+            assert got.results == ref.results and got.run == ref.run
+        assert len(compile_program(program, comp)._lowered) > 2
+        assert len(compiled._CODE) == 2
