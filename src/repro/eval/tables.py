@@ -12,6 +12,7 @@ bytecode; ours from a leaner IR — see EXPERIMENTS.md), but each table's
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -47,6 +48,8 @@ from repro.serve.jobs import (
 from repro.sim.machine import DEFAULT_MAX_CYCLES
 
 __all__ = [
+    "adpcm_arrays",
+    "adpcm_kernel",
     "adpcm_workload",
     "CompositionRun",
     "run_adpcm_on",
@@ -64,22 +67,45 @@ __all__ = [
 UNROLL_FACTOR = 2
 
 
-def adpcm_workload(
-    n_samples: int = N_SAMPLES, *, unroll: int = UNROLL_FACTOR
-) -> Tuple[Kernel, Dict[str, List[int]], List[int]]:
-    """(kernel, array contents, expected output) of the evaluation run."""
+def adpcm_kernel(unroll: int = UNROLL_FACTOR) -> Kernel:
+    """A freshly lowered evaluation kernel: CSE, then inner-loop unrolling."""
     kernel = build_decoder_kernel()
     eliminate_common_subexpressions(kernel)
     if unroll >= 2:
         unroll_inner_loops(kernel, unroll)
+    return kernel
+
+
+@functools.lru_cache(maxsize=16)
+def _reference(n_samples: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     packed, expect = encoded_reference(n_samples)
+    return tuple(packed), tuple(expect)
+
+
+def adpcm_arrays(
+    n_samples: int = N_SAMPLES,
+) -> Tuple[Dict[str, List[int]], List[int]]:
+    """(array contents, expected output) of the evaluation run.
+
+    The reference stream is encoded once per ``n_samples``; every call
+    returns fresh lists, so callers may mutate them.
+    """
+    packed, expect = _reference(n_samples)
     arrays = {
-        "inp": packed,
+        "inp": list(packed),
         "outp": [0] * n_samples,
         "steptab": list(STEP_TABLE),
         "indextab": list(INDEX_TABLE),
     }
-    return kernel, arrays, expect
+    return arrays, list(expect)
+
+
+def adpcm_workload(
+    n_samples: int = N_SAMPLES, *, unroll: int = UNROLL_FACTOR
+) -> Tuple[Kernel, Dict[str, List[int]], List[int]]:
+    """(kernel, array contents, expected output) of the evaluation run."""
+    arrays, expect = adpcm_arrays(n_samples)
+    return adpcm_kernel(unroll), arrays, expect
 
 
 @dataclass
@@ -378,7 +404,7 @@ def scheduler_mode_report(
         # kernel is wasteful; the Schedule does not cross the job layer,
         # so derive it from the context counts when they differ and
         # fall back to a direct scheduling pass otherwise
-        kernel, _arrays, _expect = adpcm_workload(n_samples)
+        kernel = adpcm_kernel()
         from repro.sched.scheduler import schedule_kernel
 
         sched = schedule_kernel(kernel, _comp, scheduler_mode=modes[1])

@@ -11,7 +11,9 @@ Two layers:
 
 * an in-process dict (always on) — hits are reference-shared, so the
   stored program must be treated as immutable (every consumer in this
-  codebase only reads it);
+  codebase only reads it).  Beside each entry it keeps the program's
+  :func:`~repro.perf.fingerprint.program_digest`, computed once per
+  entry, so a hit does not re-serialise the program;
 * an optional on-disk directory (``cache_dir``) of pickled programs,
   one ``<sha256>.pkl`` file per key, written atomically (tmp + rename)
   so concurrent pool workers never observe torn files.  Disk entries
@@ -52,9 +54,10 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import faults
 from repro.arch.composition import Composition
+from repro.context.words import ContextProgram
 from repro.ir.cdfg import Kernel
 from repro.obs import get_metrics
-from repro.perf.fingerprint import schedule_cache_key
+from repro.perf.fingerprint import program_digest, schedule_cache_key
 
 __all__ = ["ScheduleCache", "shared_cache"]
 
@@ -78,6 +81,8 @@ class ScheduleCache:
         #: evicted after every put until the directory fits
         self.max_bytes = max_bytes
         self._memory: Dict[str, Any] = {}
+        #: key -> program_digest of the in-memory entry
+        self._digests: Dict[str, str] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -89,9 +94,14 @@ class ScheduleCache:
     # -- keys -----------------------------------------------------------
 
     def key_for(
-        self, kernel: Kernel, comp: Composition, **flags: Any
+        self,
+        kernel: Kernel,
+        comp: Composition,
+        *,
+        kernel_fp: Optional[str] = None,
+        **flags: Any,
     ) -> str:
-        return schedule_cache_key(kernel, comp, **flags)
+        return schedule_cache_key(kernel, comp, kernel_fp=kernel_fp, **flags)
 
     # -- raw get/put ----------------------------------------------------
 
@@ -169,6 +179,7 @@ class ScheduleCache:
 
     def put(self, key: str, payload: Any) -> None:
         self._memory[key] = payload
+        self._digests.pop(key, None)
         path = self._disk_path(key)
         if path is None:
             return
@@ -265,10 +276,39 @@ class ScheduleCache:
         kernel: Kernel,
         comp: Composition,
         compute: Callable[[], Any],
+        *,
+        kernel_fp: Optional[str] = None,
         **flags: Any,
     ) -> Tuple[Any, bool]:
-        """``(payload, was_hit)`` — computes and stores on miss."""
-        key = self.key_for(kernel, comp, **flags)
+        """``(payload, was_hit)`` — computes and stores on miss.
+
+        ``kernel_fp`` (the kernel's fingerprint, when the caller holds
+        it) spares hashing the CDFG for the key.
+        """
+        key = self.key_for(kernel, comp, kernel_fp=kernel_fp, **flags)
+        return self._get_or_compute(key, compute)
+
+    def get_or_compute_program(
+        self,
+        kernel: Kernel,
+        comp: Composition,
+        compute: Callable[[], ContextProgram],
+        *,
+        kernel_fp: Optional[str] = None,
+        **flags: Any,
+    ) -> Tuple[ContextProgram, bool, str]:
+        """:meth:`get_or_compute` for context programs, plus the
+        program's digest, computed once per in-memory entry."""
+        key = self.key_for(kernel, comp, kernel_fp=kernel_fp, **flags)
+        program, hit = self._get_or_compute(key, compute)
+        digest = self._digests.get(key)
+        if digest is None:
+            digest = self._digests[key] = program_digest(program)
+        return program, hit, digest
+
+    def _get_or_compute(
+        self, key: str, compute: Callable[[], Any]
+    ) -> Tuple[Any, bool]:
         payload = self.get(key)
         if payload is not None:
             return payload, True
@@ -292,6 +332,7 @@ class ScheduleCache:
 
     def clear(self) -> None:
         self._memory.clear()
+        self._digests.clear()
 
 
 #: process-global instances, one per cache directory (None = memory-only);

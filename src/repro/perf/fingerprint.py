@@ -199,12 +199,20 @@ def flags_fingerprint(**flags: Any) -> str:
 
 
 def schedule_cache_key(
-    kernel: Kernel, comp: Composition, **flags: Any
+    kernel: Kernel,
+    comp: Composition,
+    *,
+    kernel_fp: Optional[str] = None,
+    **flags: Any,
 ) -> str:
-    """The content address of one scheduling problem."""
+    """The content address of one scheduling problem.
+
+    ``kernel_fp`` is ``kernel_fingerprint(kernel)`` when the caller
+    already holds it; the CDFG is hashed only when it is not given.
+    """
     return _digest(
         [
-            kernel_fingerprint(kernel),
+            kernel_fp if kernel_fp is not None else kernel_fingerprint(kernel),
             composition_fingerprint(comp),
             flags_fingerprint(**flags),
         ]

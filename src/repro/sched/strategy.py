@@ -1,7 +1,7 @@
 """Per-region scheduling strategies and region analysis.
 
-The scheduler pipeline (see :mod:`repro.sched.pipeline`) runs a *region
-analysis* pass before placement: every loop region of the kernel is
+:func:`~repro.sched.scheduler.schedule_kernel` runs a *region analysis*
+pass before placement: every loop region of the kernel is
 assigned a :class:`LoopDecision` naming the strategy that will realise
 it.  Placement then dispatches each loop through its strategy:
 
@@ -99,7 +99,7 @@ def spec_compatible(region: IfRegion, *, under_pred: bool) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# region analysis (pipeline pass 1)
+# region analysis (before placement)
 # ---------------------------------------------------------------------------
 
 
@@ -164,7 +164,7 @@ def analyze_regions(
 
 
 # ---------------------------------------------------------------------------
-# strategies (pipeline pass 2 dispatch)
+# strategies (placement dispatch)
 # ---------------------------------------------------------------------------
 
 

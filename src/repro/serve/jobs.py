@@ -33,10 +33,15 @@ from repro.arch.composition import Composition
 from repro.arch.operations import energy_units
 from repro.context.generator import generate_contexts
 from repro.ir.cdfg import Kernel
+from repro.obs import get_metrics
 from repro.obs.ledger import get_ledger, pipeline_record
 from repro.obs.timing import timed
 from repro.perf.cache import ScheduleCache, shared_cache
-from repro.perf.fingerprint import composition_fingerprint, program_digest
+from repro.perf.fingerprint import (
+    composition_fingerprint,
+    kernel_fingerprint,
+    program_digest,
+)
 from repro.sched.scheduler import schedule_kernel
 from repro.sched.strategy import DEFAULT_SCHEDULER_MODE, validate_scheduler_mode
 from repro.sim.invocation import invoke_kernel
@@ -176,13 +181,21 @@ class JobResult:
 
 @dataclass
 class ResolvedJob:
-    """A workload materialised into concrete pipeline inputs."""
+    """A workload materialised into concrete pipeline inputs.
+
+    ``livein``/``arrays``/``expect`` are fresh per job.  ``kernel`` may
+    be shared with other jobs (see :func:`resolve_workload`): it is
+    read-only.
+    """
 
     kernel: Kernel
     livein: Dict[str, int]
     arrays: Dict[str, List[int]]
     #: optional correctness oracle: (array name, expected final contents)
     expect: Optional[Tuple[str, List[int]]] = None
+    #: ``kernel_fingerprint(kernel)`` when known, so the schedule-cache
+    #: key need not hash the CDFG again
+    fingerprint: Optional[str] = None
 
 
 #: extension point: name -> builder(params) -> ResolvedJob (tests and
@@ -197,20 +210,71 @@ def register_workload(
     _EXTRA_WORKLOADS[name] = builder
 
 
-def _adpcm_job(params: Dict[str, Any]) -> ResolvedJob:
+#: process-wide memo of lowered kernels: (workload name, parameters
+#: that shape the kernel) -> (kernel, its fingerprint).  The key space
+#: is bounded by workloads x unroll factors; forked pool workers
+#: inherit it warm.
+_KERNELS: Dict[Tuple[Any, ...], Tuple[Kernel, str]] = {}
+
+
+def _lowered(
+    key: Tuple[Any, ...], build: Callable[[], Kernel]
+) -> Tuple[Kernel, str]:
+    """The memoised (kernel, fingerprint) for ``key``, built on a miss.
+
+    Concurrent first builds (thread workers) converge on one entry.
+    """
+    entry = _KERNELS.get(key)
+    event = "hit"
+    if entry is None:
+        kernel = build()
+        entry = _KERNELS.setdefault(key, (kernel, kernel_fingerprint(kernel)))
+        event = "miss"
+    metrics = get_metrics()
+    if metrics.enabled:
+        metrics.inc(f"jobs.resolve.memo.{event}")
+    return entry
+
+
+def _uses_default_arrays(spec: JobSpec, kernel: Kernel) -> bool:
+    """Whether any default array survives ``spec``'s array overrides."""
+    if spec.arrays is None:
+        return True
+    given = {name for name, _data in spec.arrays}
+    return any(ref.name not in given for ref in kernel.arrays)
+
+
+def _adpcm_job(spec: JobSpec, params: Dict[str, Any]) -> ResolvedJob:
     # lazy import: repro.eval.tables consumes this module
-    from repro.eval.tables import adpcm_workload
+    from repro.eval.tables import adpcm_arrays, adpcm_kernel
     from repro.kernels.adpcm import N_SAMPLES
 
     n_samples = int(params.get("n_samples", N_SAMPLES))
     unroll = int(params.get("unroll", 2))
-    kernel, arrays, expect = adpcm_workload(n_samples, unroll=unroll)
-    return ResolvedJob(
+    kernel, fp = _lowered(("adpcm", unroll), lambda: adpcm_kernel(unroll))
+    job = ResolvedJob(
         kernel=kernel,
         livein={"n": n_samples, "gain": int(params.get("gain", 4096))},
-        arrays=arrays,
-        expect=("outp", expect),
+        arrays={},
+        fingerprint=fp,
     )
+    if _uses_default_arrays(spec, kernel):
+        job.arrays, expect = adpcm_arrays(n_samples)
+        job.expect = ("outp", expect)
+    return job
+
+
+def _registry_job(spec: JobSpec) -> ResolvedJob:
+    from repro.verify.workloads import get_workload
+
+    name = spec.workload
+    kernel, fp = _lowered((name,), lambda: get_workload(name).build())
+    job = ResolvedJob(kernel=kernel, livein={}, arrays={}, fingerprint=fp)
+    if spec.livein is None or _uses_default_arrays(spec, kernel):
+        vec = get_workload(name).vectors[0]
+        job.livein = dict(vec.livein)
+        job.arrays = vec.fresh_arrays()
+    return job
 
 
 def resolve_workload(spec: JobSpec) -> ResolvedJob:
@@ -222,22 +286,19 @@ def resolve_workload(spec: JobSpec) -> ResolvedJob:
     Explicit ``spec.livein``/``spec.arrays`` override the defaults —
     overriding drops the built-in correctness oracle, since the
     expected output was computed for the default inputs.
+
+    Built-in workloads are lowered once per process: every job shares
+    the memoised kernel and its fingerprint, and default inputs are
+    built only when the spec's overrides leave some of them in use.
+    Registered builders run on every job.
     """
     params = dict(spec.params)
     if spec.workload in _EXTRA_WORKLOADS:
         job = _EXTRA_WORKLOADS[spec.workload](params)
     elif spec.workload == "adpcm":
-        job = _adpcm_job(params)
+        job = _adpcm_job(spec, params)
     else:
-        from repro.verify.workloads import get_workload
-
-        wl = get_workload(spec.workload)
-        vec = wl.vectors[0]
-        job = ResolvedJob(
-            kernel=wl.build(),
-            livein=dict(vec.livein),
-            arrays=vec.fresh_arrays(),
-        )
+        job = _registry_job(spec)
     if spec.livein is not None:
         job.livein = dict(spec.livein)
         job.expect = None
@@ -278,6 +339,7 @@ def execute_job(
                 kernel, comp, scheduler_mode=spec.scheduler_mode
             )
             program = generate_contexts(schedule, comp, kernel)
+            digest = None
         else:
             # content-addressed: a hit skips scheduling + context
             # generation entirely (byte-identical program, see
@@ -288,14 +350,17 @@ def execute_job(
                 )
                 return generate_contexts(schedule, comp, kernel)
 
-            program, cache_hit = cache.get_or_compute(
+            program, cache_hit, digest = cache.get_or_compute_program(
                 kernel,
                 comp,
                 _compute,
+                kernel_fp=job.fingerprint,
                 fmt=CACHE_FORMAT,
                 scheduler_mode=spec.scheduler_mode,
             )
     after = (cache.hits, cache.misses) if cache else (0, 0)
+    if digest is None:
+        digest = program_digest(program)
     sim_t0 = time.perf_counter()
     result = invoke_kernel(
         kernel,
@@ -342,7 +407,7 @@ def execute_job(
         label=label,
         workload=spec.workload,
         composition=comp.name,
-        program_digest=program_digest(program),
+        program_digest=digest,
         used_contexts=program.used_contexts,
         max_rf_entries=program.max_rf_entries,
         schedule_seconds=timer.seconds,

@@ -57,14 +57,9 @@ def _gcd() -> Workload:
 
 
 def _adpcm() -> Workload:
-    from repro.eval.tables import adpcm_workload
+    from repro.eval.tables import adpcm_arrays, adpcm_kernel
 
-    def build() -> Kernel:
-        kernel, _arrays, _expect = adpcm_workload(16)
-        return kernel
-
-    kernel, arrays, _expect = adpcm_workload(16)
-    del kernel
+    arrays, _expect = adpcm_arrays(16)
     frozen = {name: tuple(data) for name, data in arrays.items()}
 
     def with_inp(packed: Sequence[int]) -> Dict[str, Tuple[int, ...]]:
@@ -74,7 +69,7 @@ def _adpcm() -> Workload:
 
     return Workload(
         "adpcm",
-        build,
+        adpcm_kernel,
         (
             InputVector({"n": 16, "gain": 4096}, frozen),
             InputVector({"n": 11, "gain": 2048}, frozen),

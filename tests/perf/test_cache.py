@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import os
 import pickle
+from unittest import mock
 
 from repro.arch.library import mesh_composition
+from repro.context.generator import generate_contexts
 from repro.kernels import gcd
 from repro.obs import observe
 from repro.perf.cache import ScheduleCache, shared_cache
+from repro.perf.fingerprint import program_digest
+from repro.sched.scheduler import schedule_kernel
 
 
 def _kc():
@@ -45,6 +49,29 @@ class TestMemoryLayer:
         assert cache.stats()["entries"] == 0
         _, hit = cache.get_or_compute(kernel, comp, lambda: "p")
         assert not hit
+
+
+    def test_program_digest_is_kept_per_entry(self):
+        cache = ScheduleCache()
+        kernel, comp = _kc()
+        program = generate_contexts(schedule_kernel(kernel, comp), comp, kernel)
+        calls = []
+
+        def digest(p):
+            calls.append(p)
+            return program_digest(p)
+
+        with mock.patch("repro.perf.cache.program_digest", digest):
+            for want_hit in (False, True, True):
+                got, hit, fp = cache.get_or_compute_program(
+                    kernel, comp, lambda: program
+                )
+                assert (got, hit) == (program, want_hit)
+                assert fp == program_digest(program)
+            assert calls == [program]
+            cache.clear()
+            cache.get_or_compute_program(kernel, comp, lambda: program)
+            assert len(calls) == 2
 
 
 class TestDiskLayer:

@@ -67,3 +67,10 @@ class TestFlagsAndKey:
         assert base != schedule_cache_key(dotp.build_kernel(), c, fmt=1)
         assert base != schedule_cache_key(k, mesh_composition(6), fmt=1)
         assert base != schedule_cache_key(k, c, fmt=2)
+
+    def test_carried_kernel_fingerprint_gives_the_same_key(self):
+        k, c = gcd.build_kernel(), mesh_composition(4)
+        fp = kernel_fingerprint(k)
+        assert schedule_cache_key(k, c, kernel_fp=fp, fmt=1) == (
+            schedule_cache_key(k, c, fmt=1)
+        )
