@@ -15,9 +15,12 @@ reconstruct topologies that match the paper's *described* properties:
 
 from __future__ import annotations
 
+import os
+import re
 from typing import Dict, List, Sequence, Tuple
 
 from repro.arch.composition import Composition
+from repro.arch.description import load_composition
 from repro.arch.interconnect import Interconnect
 from repro.arch.pe import PEDescription
 
@@ -29,6 +32,7 @@ __all__ = [
     "paper_mesh_compositions",
     "paper_irregular_compositions",
     "all_paper_compositions",
+    "resolve_composition",
 ]
 
 #: PE counts of the paper's homogeneous meshes (Fig. 13).
@@ -209,3 +213,45 @@ def all_paper_compositions(*, mul_duration: int = 2) -> Dict[str, Composition]:
     for name, comp in paper_irregular_compositions(mul_duration=mul_duration).items():
         out[f"8 PEs {name}"] = comp
     return out
+
+
+#: library name -> its composition, shared by every caller that names
+#: it.  Compositions are immutable and the library names are finite
+#: (``MESH_SIZES`` + ``IRREGULAR_NAMES``), so the table needs no bound.
+_NAMED: Dict[str, Composition] = {}
+
+
+def resolve_composition(spec: str) -> Composition:
+    """A composition from a JSON file path or a library name.
+
+    Accepts a path to a ``compositions/*.json`` file, ``mesh<N>`` for
+    the Fig. 13 meshes, or ``irregular<X>`` / ``<X>`` for the Fig. 14
+    irregular compositions A-F.  Equal library names return the same
+    object (so its carried fingerprint is computed once per process);
+    a JSON file is loaded afresh on every call, so an edited file is
+    always seen.  Raises :class:`ValueError` for anything else.
+    """
+    if os.path.isfile(spec):
+        return load_composition(spec)
+    m = re.fullmatch(r"mesh(\d+)", spec)
+    if m and int(m.group(1)) in MESH_SIZES:
+        name = f"mesh{int(m.group(1))}"
+    else:
+        m = re.fullmatch(r"(?:irregular)?([A-Fa-f])", spec)
+        if not (m and m.group(1).upper() in IRREGULAR_NAMES):
+            raise ValueError(
+                f"unknown composition {spec!r}: expected a JSON file path, "
+                f"mesh{{{','.join(str(n) for n in MESH_SIZES)}}}, or "
+                f"irregular{{A..F}}"
+            )
+        name = f"irregular{m.group(1).upper()}"
+    comp = _NAMED.get(name)
+    if comp is None:
+        comp = (
+            mesh_composition(int(name[4:]))
+            if name.startswith("mesh")
+            else irregular_composition(name[-1])
+        )
+        # concurrent first builds (thread workers) converge on one entry
+        comp = _NAMED.setdefault(name, comp)
+    return comp

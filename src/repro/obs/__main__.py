@@ -31,19 +31,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import re
 import sys
 from typing import Callable, Dict, List, Tuple
 
-from repro.arch.composition import Composition
-from repro.arch.description import load_composition
-from repro.arch.library import (
-    IRREGULAR_NAMES,
-    MESH_SIZES,
-    irregular_composition,
-    mesh_composition,
-)
+from repro.arch.library import resolve_composition
 from repro.obs import observe, timed
 from repro.obs.ledger import RunLedger, set_ledger
 from repro.sim.invocation import invoke_kernel
@@ -128,28 +119,6 @@ KERNELS: Dict[str, _KernelSpec] = {
     "fir": _spec_fir,
     "adpcm": _spec_adpcm,
 }
-
-
-def resolve_composition(spec: str) -> Composition:
-    """A composition from a JSON file path or a library name.
-
-    Accepts a path to a ``compositions/*.json`` file, ``mesh<N>`` for
-    the Fig. 13 meshes, or ``irregular<X>`` / ``<X>`` for the Fig. 14
-    irregular compositions A-F.
-    """
-    if os.path.isfile(spec):
-        return load_composition(spec)
-    m = re.fullmatch(r"mesh(\d+)", spec)
-    if m and int(m.group(1)) in MESH_SIZES:
-        return mesh_composition(int(m.group(1)))
-    m = re.fullmatch(r"(?:irregular)?([A-Fa-f])", spec)
-    if m and m.group(1).upper() in IRREGULAR_NAMES:
-        return irregular_composition(m.group(1).upper())
-    raise SystemExit(
-        f"unknown composition {spec!r}: expected a JSON file path, "
-        f"mesh{{{','.join(str(n) for n in MESH_SIZES)}}}, or "
-        f"irregular{{A..F}}"
-    )
 
 
 def _top_counters(snapshot: Dict, prefix: str, limit: int = 5) -> List[str]:
@@ -367,7 +336,10 @@ def _run_main(argv) -> int:
     )
     args = parser.parse_args(argv)
 
-    comp = resolve_composition(args.composition)
+    try:
+        comp = resolve_composition(args.composition)
+    except ValueError as exc:
+        parser.error(str(exc))
     kernel, livein, arrays = KERNELS[args.kernel]()
 
     ledger = RunLedger(args.ledger)

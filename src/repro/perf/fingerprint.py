@@ -184,8 +184,19 @@ def _encode_composition(comp: Composition) -> List[Any]:
 
 
 def composition_fingerprint(comp: Composition) -> str:
-    """Content digest of a composition (PEs, interconnect, memories)."""
-    return _digest(_encode_composition(comp))
+    """Content digest of a composition (PEs, interconnect, memories).
+
+    A composition is immutable, so the digest is computed once and kept
+    on the object (like ``Interconnect``'s ``_floyd_cache``).  It lives
+    outside the dataclass fields: ``==``, ``hash``, ``repr`` and
+    :func:`_encode_composition` never see it, ``dataclasses.replace``
+    drops it, and default pickling carries it to pool workers.
+    """
+    digest = comp.__dict__.get("_fingerprint")
+    if digest is None:
+        digest = _digest(_encode_composition(comp))
+        object.__setattr__(comp, "_fingerprint", digest)
+    return digest
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, Optional, Tuple
 
 from repro import faults
+from repro.arch.library import resolve_composition
 from repro.obs import get_metrics
 from repro.obs.ledger import get_ledger
 from repro.obs.metrics import Histogram
@@ -117,21 +118,6 @@ class DeadlineError(ServeFailure):
 
     code = "DEADLINE"
     retryable = False
-
-
-def resolve_composition(spec: str):
-    """A composition from a library name or a JSON file path.
-
-    Same grammar as the ``repro.obs``/``repro.verify`` CLIs, but
-    raising :class:`ValueError` (a protocol error, not a process
-    exit) for unknown names.
-    """
-    try:
-        from repro.obs.__main__ import resolve_composition as _resolve
-
-        return _resolve(spec)
-    except SystemExit as exc:
-        raise ValueError(str(exc)) from None
 
 
 def request_to_spec(
@@ -569,7 +555,7 @@ class ScheduleServer:
                 {"id": rid, "event": "status", "state": "running",
                  "fingerprint": key},
             )
-            payload = await self._execute(spec, deadline_s)
+            payload = await self._execute(spec, key, deadline_s)
         except BaseException as exc:
             self.counters["jobs_failed"] += 1
             if not future.done():
@@ -653,8 +639,9 @@ class ScheduleServer:
             ) from None
 
     async def _execute(
-        self, spec: JobSpec, deadline_s: Optional[float] = None
+        self, spec: JobSpec, key: str, deadline_s: Optional[float] = None
     ) -> Dict[str, Any]:
+        """Run ``spec`` (whose fingerprint is ``key``) to a payload."""
         loop = asyncio.get_running_loop()
         if self.evaluator is not None:
             started = time.perf_counter()
@@ -713,7 +700,7 @@ class ScheduleServer:
         if ledger.enabled:
             ledger.record(
                 "serve.request",
-                fingerprint=spec.fingerprint(),
+                fingerprint=key,
                 workload=spec.workload,
                 composition=spec.composition.name,
                 program_digest=result.program_digest,

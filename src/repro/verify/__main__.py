@@ -31,8 +31,8 @@ import argparse
 import json
 import sys
 
+from repro.arch.library import resolve_composition
 from repro.obs import observe
-from repro.obs.__main__ import resolve_composition
 from repro.obs.ledger import RunLedger, pipeline_record, set_ledger
 from repro.verify import set_verify_enabled, verify_program
 from repro.verify.mutate import run_mutation_campaign
@@ -128,10 +128,13 @@ def main(argv=None) -> int:
         workloads = [get_workload(name) for name in names]
     except KeyError as exc:
         parser.error(str(exc))
-    comps = [
-        resolve_composition(spec)
-        for spec in (args.composition or DEFAULT_COMPOSITIONS)
-    ]
+    try:
+        comps = [
+            resolve_composition(spec)
+            for spec in (args.composition or DEFAULT_COMPOSITIONS)
+        ]
+    except ValueError as exc:
+        parser.error(str(exc))
 
     # the generator hook would re-run the checker redundantly (and turn
     # findings into exceptions before we can report them) — run it
