@@ -1,24 +1,18 @@
-"""Simulator backends — three-way dynamic-cycle throughput comparison.
+"""Simulator backends — dynamic-cycle throughput comparison.
 
 Each kernel is scheduled once; the resulting context program then runs
-through the interpreter, the AOT-compiled executor and the batched
-vector backend, and the dynamic-cycle throughput (simulated cycles per
-wall-clock second) of each is recorded in ``extra_info``.  Headline
-assertions on the paper's evaluation kernel, all anchored on the
-interpreter (the reference semantics, which none of the faster backends
-may change):
+through the interpreter and the AOT-compiled executor, and the
+dynamic-cycle throughput (simulated cycles per wall-clock second) of
+each is recorded in ``extra_info``.  Headline assertions on the paper's
+evaluation kernel, anchored on the interpreter (the reference
+semantics, which the compiled backend may not change):
 
 * the AOT-compiled executor simulates ADPCM at >= 3x the interpreter's
   throughput *including* its one-off cost — compile plus generating
   the code of every trace the run enters, timed as the first cold
   invocation — and that cost amortises within a single Table II grid
   cell;
-* warm, the compiled executor runs at >= 8x the interpreter;
-* the vector backend pushes a 64-invocation ADPCM batch at >= 17.5x
-  the interpreter's throughput.
-
-The batch sweep over {1, 8, 64} lanes lands in the snapshot as the
-measured scaling curve, with the vector/compiled ratio per batch size.
+* warm, the compiled executor runs at >= 8x the interpreter.
 """
 
 import time
@@ -29,8 +23,7 @@ from repro.eval.tables import adpcm_workload
 from repro.kernels import crc32, dotp, gcd, sort
 from repro.sched.scheduler import schedule_kernel
 from repro.sim.compiled import _CODE
-from repro.sim.invocation import invoke_kernel, run_invocations_batch
-from repro.sim.memory import Heap
+from repro.sim.invocation import invoke_kernel
 
 #: enough samples for the run to dominate scheduling noise, small
 #: enough to keep the bench under a minute
@@ -41,14 +34,6 @@ _MIN_ADPCM_SPEEDUP = 3.0
 
 #: floor for warm compiled runs of the headline kernel
 _MIN_ADPCM_WARM_SPEEDUP = 8.0
-
-#: batch sizes swept by the vector-backend scaling benchmark
-_BATCH_SIZES = (1, 8, 64)
-
-#: floor: vector aggregate throughput on the 64-invocation adpcm batch
-#: vs the interpreter (formerly >= 5x compiled, when compiled ran at
-#: 3.5x the interpreter: 5 x 3.5 = 17.5)
-_MIN_VECTOR_BATCH_VS_INTERPRETER = 17.5
 
 
 def _workloads():
@@ -154,100 +139,6 @@ def test_adpcm_compiled_speedup(benchmark):
     # amortisation: one Table II grid cell = compile once + run once;
     # the cell must already be ahead of the interpreter
     assert cold_seconds < interp_seconds
-
-
-def test_adpcm_vector_batch_scaling(benchmark):
-    """Vector backend: lockstep batches vs per-invocation compiled runs.
-
-    Sweeps {1, 8, 64} lanes of the Table II ADPCM workload.  Every lane
-    must be bit-equal to the interpreter reference; the 64-lane batch
-    must reach >= 17.5x the interpreter's cycles/sec, measured here on
-    the same program.  The full scaling curve against the compiled
-    backend is recorded in ``extra_info``.
-    """
-    kernel, arrays, expect = adpcm_workload(_N_SAMPLES)
-    comp = mesh_composition(9)
-    schedule = schedule_kernel(kernel, comp)
-    program = generate_contexts(schedule, comp, kernel)
-    livein = {"n": _N_SAMPLES, "gain": 4096}
-    by_name = {ref.name: ref.handle for ref in kernel.arrays}
-
-    def mkheaps(n):
-        heaps = []
-        for _ in range(n):
-            heap = Heap()
-            for name, data in arrays.items():
-                heap.allocate(by_name[name], list(data))
-            heaps.append(heap)
-        return heaps
-
-    interp_seconds, ref = _run(
-        kernel, comp, program, livein, arrays, "interpreter", rounds=3
-    )
-    assert ref.heap.array(by_name["outp"]) == expect
-    # warm: compile + vectorize memos populated outside the timed runs
-    run_invocations_batch(program, comp, [dict(livein)], mkheaps(1))
-
-    rows = {}
-
-    def measure():
-        for batch in _BATCH_SIZES:
-            liveins = [dict(livein) for _ in range(batch)]
-            # the decoder rewrites every outp element, so reusing the
-            # heaps across rounds keeps each round identical
-            heaps = mkheaps(batch)
-            vec_s = None
-            for _ in range(3):
-                t0 = time.perf_counter()
-                out = run_invocations_batch(program, comp, liveins, heaps)
-                elapsed = time.perf_counter() - t0
-                vec_s = elapsed if vec_s is None else min(vec_s, elapsed)
-            comp_s = None
-            for _ in range(3):
-                t0 = time.perf_counter()
-                for i in range(batch):
-                    run_invocations_batch(
-                        program,
-                        comp,
-                        liveins[i : i + 1],
-                        heaps[i : i + 1],
-                        backend="compiled",
-                    )
-                elapsed = time.perf_counter() - t0
-                comp_s = elapsed if comp_s is None else min(comp_s, elapsed)
-            for lane, got in enumerate(out):
-                assert got.results == ref.results, lane
-                assert got.run.cycles == ref.run.cycles, lane
-                assert got.run.energy == ref.run.energy, lane
-                assert got.heap.array(by_name["outp"]) == expect, lane
-            cycles = sum(r.run.cycles for r in out)
-            rows[str(batch)] = {
-                "sim_cycles": cycles,
-                "vector_cycles_per_sec": round(cycles / vec_s),
-                "compiled_cycles_per_sec": round(cycles / comp_s),
-                "speedup": round(comp_s / vec_s, 2),
-            }
-        return rows
-
-    benchmark.pedantic(measure, rounds=1, iterations=1)
-    interp_rate = ref.run.cycles / interp_seconds
-    vs_interp = rows["64"]["vector_cycles_per_sec"] / interp_rate
-    benchmark.extra_info["batch_scaling"] = rows
-    benchmark.extra_info["vector_batch64_speedup"] = rows["64"]["speedup"]
-    benchmark.extra_info["interpreter_cycles_per_sec"] = round(interp_rate)
-    benchmark.extra_info["vector_batch64_vs_interpreter"] = round(vs_interp, 2)
-    for batch, row in rows.items():
-        print(
-            f"\nadpcm x{_N_SAMPLES} batch {batch}: vector "
-            f"{row['vector_cycles_per_sec']:,} cyc/s, compiled "
-            f"{row['compiled_cycles_per_sec']:,} cyc/s "
-            f"({row['speedup']:.2f}x)"
-        )
-    print(f"\nbatch 64 vs interpreter: {vs_interp:.2f}x")
-    assert vs_interp >= _MIN_VECTOR_BATCH_VS_INTERPRETER, (
-        f"vector backend only {vs_interp:.2f}x the interpreter on the "
-        f"64-invocation batch"
-    )
 
 
 def test_per_kernel_throughput(benchmark):

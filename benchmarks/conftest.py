@@ -72,10 +72,6 @@ def _internals(snapshot):
         "placement_attempts": counters.get("sched.placement.attempts", 0),
         "placement_accepted": counters.get("sched.placement.accepted", 0),
         "sim_cycles": counters.get("sim.cycles", 0),
-        "vector_batches": counters.get("sim.vector.batches", 0),
-        "vector_lanes": counters.get("sim.vector.lanes", 0),
-        "vector_cohort_splits": counters.get("sim.vector.cohort.splits", 0),
-        "vector_cohort_merges": counters.get("sim.vector.cohort.merges", 0),
         "scheduler_walltime_seconds": walltime,
     }
 

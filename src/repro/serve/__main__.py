@@ -26,6 +26,7 @@ import signal
 import sys
 
 from repro.serve.server import ScheduleServer
+from repro.sim.machine import SIM_BACKENDS
 
 
 async def _amain(args) -> int:
@@ -84,7 +85,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--sim-backend",
-        choices=("interpreter", "compiled", "vector"),
+        choices=SIM_BACKENDS,
         default="compiled",
     )
     parser.add_argument(

@@ -32,7 +32,6 @@ from repro.sim.memory import Heap
 __all__ = [
     "InvocationResult",
     "run_invocation",
-    "run_invocations_batch",
     "invoke_kernel",
 ]
 
@@ -95,140 +94,6 @@ def run_invocation(
         run=run,
         heap=sim.heap,
     )
-
-
-def run_invocations_batch(
-    program: ContextProgram,
-    comp: Composition,
-    liveins: Sequence[Mapping[str, int]],
-    heaps: Optional[Sequence[Optional[Heap]]] = None,
-    *,
-    max_cycles: int = DEFAULT_MAX_CYCLES,
-    backend: str = "vector",
-) -> "list[InvocationResult]":
-    """Execute many invocations of one context program as a batch.
-
-    ``liveins[i]`` / ``heaps[i]`` are lane *i*'s live-in values and
-    (optional) pre-allocated heap; with ``backend="vector"`` (the
-    default) the whole batch runs in lockstep through
-    :mod:`repro.sim.vector` — per-lane results are bit-equal to
-    ``run_invocation`` on the scalar backends.  Any other backend
-    falls back to a per-lane scalar loop (the comparison baseline).
-    Supplied heaps are mutated in place, exactly like
-    :func:`run_invocation`; lanes without one get a fresh empty heap.
-    Returns one :class:`InvocationResult` per lane, in lane order.
-    """
-    batch = len(liveins)
-    if heaps is not None and len(heaps) != batch:
-        raise ValueError(
-            f"{len(heaps)} heaps for a batch of {batch} invocations"
-        )
-    if batch == 0:
-        return []
-    if backend != "vector":
-        return [
-            run_invocation(
-                program,
-                comp,
-                livein,
-                heaps[i] if heaps is not None else None,
-                max_cycles=max_cycles,
-                backend=backend,
-            )
-            for i, livein in enumerate(liveins)
-        ]
-
-    from repro.obs import get_metrics
-    from repro.sim.vector import VectorSimulator
-
-    t0 = time.perf_counter()
-    sim = VectorSimulator(comp, program, batch, max_cycles=max_cycles)
-    lane_heaps = [
-        (heaps[i] if heaps is not None else None) or Heap()
-        for i in range(batch)
-    ]
-    handles = sorted(
-        {handle for heap in lane_heaps for handle, _ in heap.items()}
-    )
-    for heap in lane_heaps:
-        missing = [h for h in handles if h not in heap]
-        if missing:
-            raise KeyError(
-                f"batch heaps disagree: handle(s) {missing} missing "
-                "from one lane"
-            )
-    for handle in handles:
-        sim.heap.allocate(
-            handle, [heap.array(handle) for heap in lane_heaps]
-        )
-
-    by_name = {var.name: loc for var, loc in program.livein_map.items()}
-    for lane, livein in enumerate(liveins):
-        for name, value in livein.items():
-            if name not in by_name:
-                raise KeyError(f"kernel has no live-in variable {name!r}")
-            pe, slot = by_name[name]
-            sim.write_livein(lane, pe, slot, value)
-        missing = set(by_name) - set(livein)
-        if missing:
-            raise KeyError(f"missing live-in values: {sorted(missing)}")
-
-    batch_run = sim.run()
-
-    # write the final heap contents back into the per-lane heaps
-    for lane, heap in enumerate(lane_heaps):
-        for handle in handles:
-            heap.array(handle)[:] = sim.heap.lane_array(lane, handle)
-    transfers = len(program.livein_map) + len(program.liveout_map)
-    out = []
-    for lane in range(batch):
-        run = batch_run.lane_result(lane)
-        results = {
-            var.name: sim.read_liveout(lane, pe, slot)
-            for var, (pe, slot) in program.liveout_map.items()
-        }
-        out.append(
-            InvocationResult(
-                results=results,
-                run_cycles=run.cycles,
-                total_cycles=run.cycles
-                + TRANSFER_CYCLES_PER_VAR * transfers,
-                run=run,
-                heap=lane_heaps[lane],
-            )
-        )
-    seconds = time.perf_counter() - t0
-
-    metrics = get_metrics()
-    if metrics.enabled:
-        metrics.inc("sim.cycles", batch_run.lane_cycles)
-        metrics.inc(
-            "sim.branches.taken", int(batch_run.branches_taken.sum())
-        )
-        metrics.inc("sim.ops.executed", int(batch_run.ops_executed.sum()))
-        metrics.inc(
-            "sim.energy",
-            int(batch_run.energy_units.sum()) / 1_000_000,
-        )
-        metrics.inc("sim.runs", batch, backend=backend)
-    ledger = get_ledger()
-    if ledger.enabled:
-        ledger.record(
-            "sim.batch",
-            kernel=program.kernel_name,
-            composition=program.composition_name,
-            backend=backend,
-            batch=batch,
-            lane_cycles=batch_run.lane_cycles,
-            steps=batch_run.steps,
-            splits=batch_run.splits,
-            merges=batch_run.merges,
-            sim_seconds=seconds,
-            cycles_per_sec=(
-                batch_run.lane_cycles / seconds if seconds > 0 else None
-            ),
-        )
-    return out
 
 
 def invoke_kernel(

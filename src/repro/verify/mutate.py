@@ -48,7 +48,6 @@ vector.  See docs/testing.md for how to triage an escape.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import json
 from dataclasses import dataclass, field
@@ -147,13 +146,8 @@ class CellReport:
 @dataclass
 class CampaignReport:
     cells: List[CellReport] = field(default_factory=list)
-    #: dynamic-replay mode the campaign ran with (batch / scalar / both)
-    replay: str = "batch"
     #: scheduling strategy the mutated programs were built with
     scheduler_mode: str = "list"
-    #: classification wall time per replay mode (only modes that ran)
-    batch_seconds: Optional[float] = None
-    scalar_seconds: Optional[float] = None
 
     @property
     def n_mutants(self) -> int:
@@ -182,16 +176,9 @@ class CampaignReport:
         return {op: row for op, row in table.items() if sum(row.values())}
 
     def to_json(self) -> Dict:
-        delta = None
-        if self.batch_seconds is not None and self.scalar_seconds is not None:
-            delta = self.scalar_seconds - self.batch_seconds
         return {
             "total_mutants": self.n_mutants,
-            "replay": self.replay,
             "scheduler_mode": self.scheduler_mode,
-            "replay_batch_seconds": self.batch_seconds,
-            "replay_scalar_seconds": self.scalar_seconds,
-            "replay_delta_seconds": delta,
             "caught_static": self.count("caught_static"),
             "caught_dynamic": self.count("caught_dynamic"),
             "escaped": self.count("escaped"),
@@ -285,7 +272,20 @@ class CampaignReport:
 
 
 def _clone(program: ContextProgram) -> ContextProgram:
-    return copy.deepcopy(program)
+    """A copy whose context memories can be rewritten entry by entry.
+
+    Operators only replace whole entries, and entries are frozen, so
+    the clone gets fresh memory lists and shares everything else with
+    ``program``.  A deep copy would put a few hundred objects per mutant
+    on the heap for the garbage collector to walk while the campaign
+    replays them.
+    """
+    return dataclasses.replace(
+        program,
+        pe_contexts=[list(row) for row in program.pe_contexts],
+        cbox_contexts=list(program.cbox_contexts),
+        ccu_contexts=list(program.ccu_contexts),
+    )
 
 
 def _mut_branch_retarget(program: ContextProgram) -> Iterator[Mutant]:
@@ -947,9 +947,13 @@ def _execute(
         comp, program, heap, max_cycles=max_cycles, backend=backend
     )
     if trace is not None:
+        # the hook reads the register files, not ``sim``: a hook that
+        # referred to the simulator would make a reference cycle that
+        # keeps the whole trace alive until a full collection
+        files = sim.rf
 
         def hook(ccnt: int) -> None:
-            trace.append((ccnt, tuple(tuple(rf) for rf in sim.rf)))
+            trace.append((ccnt, tuple(tuple(rf) for rf in files)))
 
         sim.cycle_hook = hook
     for pe, rf in enumerate(sim.rf):
@@ -981,102 +985,21 @@ def _execute(
     )
 
 
-def _execute_batch(
-    program: ContextProgram,
-    comp: Composition,
-    vectors: Sequence[InputVector],
-    *,
-    max_cycles: int,
-) -> List[_Signature]:
-    """Run every input vector as one lockstep batch; per-lane signatures.
-
-    The batched equivalent of calling :func:`_execute` once per vector
-    through the vectorized backend (:mod:`repro.sim.vector`): same
-    canary prefill, same signature fields, bit-equal values.  Any lane
-    trapping raises for the whole batch *without* lane attribution —
-    the caller falls back to the scalar loop to name the vector.
-    """
-    from repro.sim.vector import VectorSimulator
-
-    batch = len(vectors)
-    sim = VectorSimulator(comp, program, batch, max_cycles=max_cycles)
-    for pe, desc in enumerate(comp.pes):
-        for slot in range(desc.regfile_size):
-            sim.rf[:, pe, slot] = _rf_canary(pe, slot)
-    for ref in program.arrays:
-        rows = []
-        for vector in vectors:
-            data = vector.arrays.get(ref.name)
-            if data is None:
-                raise KeyError(
-                    f"vector missing contents for array {ref.name!r}"
-                )
-            rows.append(list(data))
-        sim.heap.allocate(ref.handle, rows)
-    by_name = {var.name: loc for var, loc in program.livein_map.items()}
-    for lane, vector in enumerate(vectors):
-        for name, value in vector.livein.items():
-            pe, slot = by_name[name]
-            sim.write_livein(lane, pe, slot, value)
-    batch_run = sim.run()
-    liveouts = sorted(
-        program.liveout_map.items(), key=lambda kv: kv[0].name
-    )
-    sigs: List[_Signature] = []
-    for lane in range(batch):
-        run = batch_run.lane_result(lane)
-        results = tuple(
-            (var.name, sim.read_liveout(lane, pe, slot))
-            for var, (pe, slot) in liveouts
-        )
-        heap_state = tuple(
-            (
-                ref.name,
-                tuple(
-                    int(v) for v in sim.heap.lane_array(lane, ref.handle)
-                ),
-            )
-            for ref in program.arrays
-        )
-        rf_state = tuple(
-            tuple(int(v) for v in sim.rf[lane, pe, : desc.regfile_size])
-            for pe, desc in enumerate(comp.pes)
-        )
-        sigs.append(
-            (
-                results,
-                heap_state,
-                run.cycles,
-                run.branches_taken,
-                tuple(run.ops_executed),
-                run.energy,
-                rf_state,
-            )
-        )
-    return sigs
-
-
 def classify_mutants(
     program: ContextProgram,
     comp: Composition,
     vectors: Sequence[InputVector],
     *,
-    backend: str = "interpreter",
-    replay: str = "batch",
+    backend: str = "compiled",
     mutants: Optional[Sequence[Mutant]] = None,
 ) -> List[MutantResult]:
     """Classify every mutant of ``program`` against the baseline runs.
 
-    ``replay`` selects how the dynamic oracle re-executes each mutant:
-    ``"batch"`` (the default) runs all input vectors in one lockstep
-    vectorized batch per mutant, falling back to the scalar ``backend``
-    loop only when a lane traps (to attribute the vector); ``"scalar"``
-    always uses the per-vector loop.  Outcomes are identical.
+    The dynamic oracle replays each mutant once per input vector on
+    ``backend``, stopping at the first vector that traps or diverges;
+    outcomes do not depend on the backend.
     """
     from repro.obs import get_metrics, get_tracer
-
-    if replay not in ("batch", "scalar"):
-        raise ValueError(f"unknown replay mode {replay!r}")
 
     if mutants is None:
         mutants = enumerate_mutants(program, comp)
@@ -1126,7 +1049,6 @@ def classify_mutants(
         kernel=program.kernel_name,
         composition=program.composition_name,
         mutants=len(mutants),
-        replay=replay,
     ):
         for mutant in mutants:
             outcome, detail = _classify_one(
@@ -1137,7 +1059,6 @@ def classify_mutants(
                 baselines,
                 max_cycles,
                 backend,
-                replay,
                 baseline_raw,
             )
             results.append(
@@ -1165,24 +1086,23 @@ def _classify_one(
     baselines: Sequence[_Signature],
     max_cycles: int,
     backend: str,
-    replay: str,
     baseline_raw,
 ) -> Tuple[str, str]:
     findings = verify_program(mutant.program, comp)
     if findings:
         codes = sorted({f.code for f in findings})
         return "caught_static", ",".join(codes)
-    scalar = replay == "scalar" or len(vectors) <= 1
-    if not scalar:
-        # Prescreen with a scalar run of vector 0: most killed mutants
-        # die (trap or diverge) on the first vector, where the scalar
-        # path both short-circuits and attributes traps for free.  Only
-        # survivors pay for the batched run over all vectors.
+    # replay a private copy: the simulator memoises its compiled form
+    # per program object, so the copy takes that form with it when this
+    # mutant is done instead of keeping it alive as long as the
+    # caller's mutant list
+    replayed = dataclasses.replace(mutant.program)
+    for i, (vector, baseline) in enumerate(zip(vectors, baselines)):
         try:
             sig = _execute(
-                mutant.program,
+                replayed,
                 comp,
-                vectors[0],
+                vector,
                 max_cycles=max_cycles,
                 backend=backend,
             )
@@ -1193,52 +1113,9 @@ def _classify_one(
             IndexError,
             KeyError,
         ) as exc:
-            return "caught_dynamic", f"trap on vector 0: {exc}"
-        if sig != baselines[0]:
-            return "caught_dynamic", "diverges on vector 0"
-        try:
-            sigs = _execute_batch(
-                mutant.program, comp, vectors, max_cycles=max_cycles
-            )
-        except (
-            SimulationError,
-            HeapError,
-            RuntimeError,
-            IndexError,
-            KeyError,
-        ):
-            # a lane trapped; rerun the scalar loop to name the vector
-            # (vector 0 provably survived the prescreen, skip it)
-            start = 1
-            scalar = True
-        else:
-            for i, (sig, baseline) in enumerate(zip(sigs, baselines)):
-                if sig != baseline:
-                    return "caught_dynamic", f"diverges on vector {i}"
-    else:
-        start = 0
-    if scalar:
-        for i, (vector, baseline) in enumerate(zip(vectors, baselines)):
-            if i < start:
-                continue
-            try:
-                sig = _execute(
-                    mutant.program,
-                    comp,
-                    vector,
-                    max_cycles=max_cycles,
-                    backend=backend,
-                )
-            except (
-                SimulationError,
-                HeapError,
-                RuntimeError,
-                IndexError,
-                KeyError,
-            ) as exc:
-                return "caught_dynamic", f"trap on vector {i}: {exc}"
-            if sig != baseline:
-                return "caught_dynamic", f"diverges on vector {i}"
+            return "caught_dynamic", f"trap on vector {i}: {exc}"
+        if sig != baseline:
+            return "caught_dynamic", f"diverges on vector {i}"
     # Weak-mutation propagation check: the final state matched
     # everywhere, so replay with per-cycle tracing.  A vector shows no
     # observable difference when either
@@ -1290,17 +1167,11 @@ def run_mutation_campaign(
     workloads: Sequence[Workload],
     comps: Sequence[Composition],
     *,
-    backend: str = "interpreter",
-    replay: str = "batch",
+    backend: str = "compiled",
     scheduler_mode: str = "list",
     progress=None,
 ) -> CampaignReport:
     """Mutate every workload × composition cell and classify everything.
-
-    ``replay`` is forwarded to :func:`classify_mutants`; the extra mode
-    ``"both"`` classifies every cell twice — batched and scalar — and
-    raises if any mutant's outcome differs, recording both wall times
-    in the report (the batched-replay speedup the coverage JSON shows).
 
     ``scheduler_mode`` is a campaign axis: ``"modulo"`` mutates the
     software-pipelined programs instead of the list-scheduled ones, so
@@ -1309,24 +1180,17 @@ def run_mutation_campaign(
     ``progress`` (optional) is called with a one-line status string per
     cell — the CLI passes ``print``.
     """
-    import time
-
     from repro.obs.timing import timed
     from repro.sched.scheduler import schedule_kernel
     from repro.sched.strategy import validate_scheduler_mode
 
     validate_scheduler_mode(scheduler_mode)
-    if replay not in ("batch", "scalar", "both"):
-        raise ValueError(f"unknown replay mode {replay!r}")
-    modes = ("batch", "scalar") if replay == "both" else (replay,)
-    report = CampaignReport(replay=replay, scheduler_mode=scheduler_mode)
-    seconds = {mode: 0.0 for mode in modes}
+    report = CampaignReport(scheduler_mode=scheduler_mode)
     with timed(
         "verify.campaign",
         workloads=len(workloads),
         compositions=len(comps),
         backend=backend,
-        replay=replay,
         scheduler_mode=scheduler_mode,
     ):
         for workload in workloads:
@@ -1341,29 +1205,12 @@ def run_mutation_campaign(
                         kernel, comp, scheduler_mode=scheduler_mode
                     )
                     program = generate_contexts(schedule, comp, kernel)
-                    mutants = enumerate_mutants(program, comp)
-                    by_mode = {}
-                    for mode in modes:
-                        t0 = time.perf_counter()
-                        by_mode[mode] = classify_mutants(
-                            program,
-                            comp,
-                            workload.vectors,
-                            backend=backend,
-                            replay=mode,
-                            mutants=mutants,
-                        )
-                        seconds[mode] += time.perf_counter() - t0
-                    results = by_mode[modes[0]]
-                    if len(modes) == 2:
-                        for a, b in zip(*by_mode.values()):
-                            if a.outcome != b.outcome:
-                                raise RuntimeError(
-                                    "batched and scalar replay disagree on "
-                                    f"{workload.name}/{comp.name}: "
-                                    f"{a.description!r} is {a.outcome} "
-                                    f"batched but {b.outcome} scalar"
-                                )
+                    results = classify_mutants(
+                        program,
+                        comp,
+                        workload.vectors,
+                        backend=backend,
+                    )
                 cell = CellReport(
                     kernel=workload.name, composition=comp.name, results=results
                 )
@@ -1375,6 +1222,4 @@ def run_mutation_campaign(
                         f"{cell.count('caught_dynamic')} dynamic, "
                         f"{cell.count('escaped')} escaped"
                     )
-    report.batch_seconds = seconds.get("batch")
-    report.scalar_seconds = seconds.get("scalar")
     return report

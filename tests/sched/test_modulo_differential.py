@@ -28,7 +28,7 @@ COMPS = {
     "irregularB": irregular_composition("B"),
 }
 
-BACKENDS = ("interpreter", "compiled", "vector")
+BACKENDS = ("interpreter", "compiled")
 
 
 def _arrays(heap, kernel):

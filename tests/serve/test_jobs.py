@@ -83,6 +83,28 @@ class TestExecuteJob:
         assert (first.cache_misses_delta, first.cache_hits_delta) == (1, 0)
         assert (second.cache_misses_delta, second.cache_hits_delta) == (0, 1)
 
+    def test_cache_hit_job_compiles_nothing(self, tmp_path):
+        """A job that hits the schedule cache reuses the compiled program
+        of the job that filled it, even when its spec arrives pickled
+        (a fresh but equal composition) and with other inputs — the
+        served worker's schedule-cache-hit path."""
+        from repro.obs import observe
+
+        keys = ("sim.compile.memo.miss", "sim.compile.count",
+                "sim.compile.memo.hit")
+        cache = ScheduleCache(str(tmp_path))
+        spec = pickle.loads(
+            pickle.dumps(_spec(livein=(("a", 7), ("b", 13))))
+        )
+        with observe() as session:
+            first = execute_job(_spec(), cache=cache)
+            before = [session.metrics.counter_value(k) for k in keys]
+            second = execute_job(spec, cache=cache)
+            after = [session.metrics.counter_value(k) for k in keys]
+        assert (first.cache_hit, second.cache_hit) == (False, True)
+        assert second.results != first.results
+        assert after == [before[0], before[1], before[2] + 1]
+
     def test_payload_is_json_safe(self):
         import json
 

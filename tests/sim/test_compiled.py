@@ -21,6 +21,7 @@ from repro.context.generator import generate_contexts
 from repro.context.words import ContextProgram, PEContext, SrcSel
 from repro.ir.frontend import compile_kernel
 from repro.kernels import adpcm, crc32, dotp, fir, gcd, histogram, matmul, sort
+from repro.obs import observe
 from repro.sched.scheduler import schedule_kernel
 from repro.sim.compiled import compile_program
 from repro.sim.invocation import invoke_kernel, run_invocation
@@ -708,3 +709,27 @@ class TestGeneratedCode:
             assert got.results == ref.results and got.run == ref.run
         assert len(compile_program(program, comp)._lowered) > 2
         assert len(compiled._CODE) == 2
+
+
+def test_compile_memo_counters():
+    """sim.compile.memo.{hit,miss,evict} track the weakref-finalized
+    compile memo in repro.sim.compiled."""
+    import gc
+
+    build = WORKLOADS[0][1]
+    kernel = build()
+    comp = COMPS["mesh4"]
+    schedule = schedule_kernel(kernel, comp)
+    with observe() as session:
+        program = generate_contexts(schedule, comp, kernel)
+        run_invocation(program, comp, {"a": 48, "b": 18}, backend="compiled")
+        miss0 = session.metrics.counter_value("sim.compile.memo.miss")
+        assert miss0 >= 1
+        assert session.metrics.counter_value("sim.compile.memo.hit") == 0
+        run_invocation(program, comp, {"a": 7, "b": 13}, backend="compiled")
+        assert session.metrics.counter_value("sim.compile.memo.hit") == 1
+        assert session.metrics.counter_value("sim.compile.memo.miss") == miss0
+        assert session.metrics.counter_value("sim.compile.memo.evict") == 0
+        del program
+        gc.collect()
+        assert session.metrics.counter_value("sim.compile.memo.evict") >= 1

@@ -5,11 +5,12 @@ mutants) runs via ``python -m repro.verify --mutate`` in CI; these unit
 tests keep the engine itself honest on the cheap gcd cell.
 """
 
+import gc
 import json
 
 import pytest
 
-from repro.arch.library import mesh_composition
+from repro.arch.library import irregular_composition, mesh_composition
 from repro.context.generator import generate_contexts
 from repro.sched.scheduler import schedule_kernel
 from repro.verify import set_verify_enabled, verify_program
@@ -19,6 +20,7 @@ from repro.verify.mutate import (
     CampaignReport,
     CellReport,
     MutantResult,
+    _execute,
     classify_mutants,
     enumerate_mutants,
     run_mutation_campaign,
@@ -78,26 +80,63 @@ class TestClassification:
         escaped = [r for r in results if r.outcome == "escaped"]
         assert not escaped, escaped
 
-    def test_batched_replay_matches_scalar(self, gcd_cell):
-        """The batched (vectorized) dynamic replay must classify every
-        mutant exactly like the per-vector scalar loop, detail included
-        (same first trap/diverging vector)."""
+    def test_compiled_replay_matches_interpreter(self):
+        """Replaying mutants on the compiled backend classifies every
+        one exactly like the interpreter, detail included (same first
+        trap/diverging vector), over the CI campaign's cells."""
+        total = 0
+        for name in ("gcd", "adpcm"):
+            workload = get_workload(name)
+            kernel = workload.build()
+            for comp in (mesh_composition(4), irregular_composition("B")):
+                program = generate_contexts(
+                    schedule_kernel(kernel, comp), comp, kernel
+                )
+                mutants = list(enumerate_mutants(program, comp))
+                by_backend = [
+                    classify_mutants(
+                        program,
+                        comp,
+                        workload.vectors,
+                        backend=backend,
+                        mutants=mutants,
+                    )
+                    for backend in ("interpreter", "compiled")
+                ]
+                assert by_backend[0] == by_backend[1], (name, comp.name)
+                total += len(mutants)
+        assert total == 810
+
+    def test_replay_frees_compiled_mutants(self, gcd_cell):
+        """Classifying a mutant frees its compiled form: the caller's
+        mutant list does not keep one alive per mutant for the rest of
+        the cell (a heap growing with the cell makes full collections
+        land on random mutants)."""
+        from repro.sim import compiled
+
         workload, comp, program = gcd_cell
         mutants = list(enumerate_mutants(program, comp))
-        batched = classify_mutants(
-            program, comp, workload.vectors, replay="batch", mutants=mutants
-        )
-        scalar = classify_mutants(
-            program, comp, workload.vectors, replay="scalar", mutants=mutants
-        )
-        assert batched == scalar
+        before = len(compiled._COMPILED)
+        classify_mutants(program, comp, workload.vectors, mutants=mutants)
+        # at most the baseline program itself stays memoised
+        assert len(compiled._COMPILED) <= before + 1
 
-    def test_unknown_replay_mode_rejected(self, gcd_cell):
+    def test_traced_replay_leaves_no_reference_cycle(self, gcd_cell):
+        """The equivalence check's per-cycle trace is freed when the
+        replay returns, not at the next full collection."""
         workload, comp, program = gcd_cell
-        with pytest.raises(ValueError, match="replay"):
-            classify_mutants(
-                program, comp, workload.vectors, replay="warp", mutants=[]
+        trace = []
+        gc.collect()
+        gc.disable()
+        try:
+            _execute(
+                program, comp, workload.vectors[0],
+                max_cycles=1_000_000, backend="interpreter", trace=trace,
             )
+            assert trace
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_rejects_broken_baseline(self, gcd_cell):
         workload, comp, program = gcd_cell
@@ -169,20 +208,4 @@ def test_campaign_smoke():
     assert report.n_mutants > 0
     assert not report.escaped()
     assert report.caught_fraction == 1.0
-    assert report.replay == "batch"
-    assert report.batch_seconds is not None
-    assert report.scalar_seconds is None
 
-
-def test_campaign_replay_both_cross_checks_and_times():
-    report = run_mutation_campaign(
-        [get_workload("gcd")], [mesh_composition(4)], replay="both"
-    )
-    assert report.replay == "both"
-    assert report.batch_seconds is not None
-    assert report.scalar_seconds is not None
-    data = report.to_json()
-    assert data["replay"] == "both"
-    assert data["replay_delta_seconds"] == pytest.approx(
-        report.scalar_seconds - report.batch_seconds
-    )
