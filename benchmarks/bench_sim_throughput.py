@@ -12,7 +12,8 @@ semantics, which the compiled backend may not change):
   the code of every trace the run enters, timed as the first cold
   invocation — and that cost amortises within a single Table II grid
   cell;
-* warm, the compiled executor runs at >= 8x the interpreter.
+* warm, the compiled executor runs at >= 24x the interpreter (it measured
+  ~32x on a 2-CPU x86_64 host; ~19x before operations were inlined).
 """
 
 import time
@@ -33,7 +34,7 @@ _N_SAMPLES = 64
 _MIN_ADPCM_SPEEDUP = 3.0
 
 #: floor for warm compiled runs of the headline kernel
-_MIN_ADPCM_WARM_SPEEDUP = 8.0
+_MIN_ADPCM_WARM_SPEEDUP = 24.0
 
 
 def _workloads():
@@ -78,7 +79,7 @@ def _run(kernel, comp, program, livein, arrays, backend, rounds=1):
 
 def test_adpcm_compiled_speedup(benchmark):
     """Headline: ADPCM (Table II workload) >= 3x with the one-off
-    compile and code generation included, >= 8x warm."""
+    compile and code generation included, >= 24x warm."""
     kernel, arrays, expect = adpcm_workload(_N_SAMPLES)
     comp = mesh_composition(9)
     schedule = schedule_kernel(kernel, comp)

@@ -47,12 +47,14 @@ the actual pool width.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import pickle
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro import faults
@@ -144,6 +146,20 @@ _POOL_ERRORS = (
     TypeError,
     BrokenProcessPool,
 )
+
+
+@contextmanager
+def _frozen_heap():
+    """Hide the parent's objects from the collector while a pool forks.
+
+    Forked workers share the parent's memory copy-on-write; a collection
+    in a worker would touch, and so copy, every inherited object.
+    """
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
 
 
 class ParallelEvaluator:
@@ -245,7 +261,7 @@ class ParallelEvaluator:
         inject = faults.armed()
         workers = min(self.jobs, len(items))
         try:
-            with ProcessPoolExecutor(
+            with _frozen_heap(), ProcessPoolExecutor(
                 max_workers=workers, mp_context=self._mp_context()
             ) as pool:
                 if capture_obs:

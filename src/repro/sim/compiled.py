@@ -16,10 +16,15 @@ to a one-time compile:
   running at entry.  Under that key all but data is static (busy PEs,
   finish order, the write port, C-Box status presence, predication
   signals), so on first entry each trace is lowered to one Python
-  function: operand reads become ``rX[s]``, commits assignments, the
-  C-Box combine is inlined and a static fault a ``raise`` at its cycle.
-  Operations still in flight at exit pass to the successor trace.  A
-  process-wide LRU of :data:`_CODE_SIZE` functions shares them by source.
+  function: operand reads become ``rX[s]``, commits assignments, each
+  operation's 32-bit semantics an inline expression (:data:`_INLINE`,
+  no call), a DMA access a bounds-guarded subscript of the array bound
+  at entry, the C-Box combine is inlined and a static fault a ``raise``
+  at its cycle.  One budget check at entry covers every cycle; a run
+  whose budget ends inside the trace replays it through a per-cycle
+  guarded twin, lowered only then.  Operations still in flight at exit
+  pass to the successor trace.  A process-wide LRU of
+  :data:`_CODE_SIZE` functions shares them by source.
 
 ``RunResult`` (bit-equal ``energy`` summed at halt from per-trace
 integer constants), live-outs, heap contents and errors match the
@@ -104,22 +109,73 @@ class _Trace:
 
     ``fn(rf, bits, heap, left, fl)`` runs ``n`` cycles (``left`` is the
     cycle budget, ``fl`` the in-flight operands in and out) and returns
-    the successor index: 0 falls through, 1 takes a branch, -1 halts.
+    the successor index: 0 falls through, 1 takes a branch, -1 halts,
+    and -2, before touching any state, when ``left < n``.  ``guarded``
+    is then the twin that checks the budget every cycle (None until a
+    run first needs it).
     """
 
-    __slots__ = ("fn", "n", "succ", "keys", "energy", "ops", "ccnts", "source")
+    __slots__ = (
+        "fn", "n", "succ", "keys", "energy", "ops", "ccnts", "source", "key",
+        "guarded",
+    )
 
 
 class _Fault(Exception):
     """Generated code's static fault (message) or runaway guard (none)."""
 
 
-#: globals of generated code: op semantics as ``_OPCODE`` plus ``_F``.
-#: No per-program name, so the source text alone keys :data:`_CODE`.
-_NS: Dict[str, object] = {
-    f"_{name}": spec.func for name, spec in OPS.items() if spec.func
+#: globals of generated code.  No per-program name, so the source text
+#: alone keys :data:`_CODE`.
+_NS: Dict[str, object] = {"_F": _Fault}
+
+
+def _w(x: str) -> str:
+    """``wrap32(x)`` inline: ``((x + 2**31) & (2**32 - 1)) - 2**31`` holds
+    for every Python int.  ``x`` must bind at least as tightly as ``+``."""
+    return f"({x} + 2147483648 & 4294967295) - 2147483648"
+
+
+def _cmp(op: str) -> str:
+    """Signed compare of wrapped operands: ``wrap32(x) + 2**31`` is
+    ``(x + 2**31) & (2**32 - 1)``, which keeps their order."""
+    a, b = (f"{{{x}}} + 2147483648 & 4294967295" for x in "ab")
+    return f"(1 if {a} {op} {b} else 0)"
+
+
+#: opcode -> expression over operands ``{a}``/``{b}`` equal to its
+#: ``OpSpec.func`` for any Python ints (``tests/sim/test_compiled.py``).
+#: Kept apart from :mod:`repro.arch.operations`, so the interpreter's
+#: semantics stay an independent oracle.  Statuses are ints, never bools.
+_INLINE: Dict[str, str] = {
+    "IADD": _w("{a} + {b}"),
+    "ISUB": _w("{a} - {b}"),
+    "IMUL": _w("{a} * {b}"),
+    "INEG": _w("-{a}"),
+    "IMIN": f"min({_w('{a}')}, {_w('{b}')})",
+    "IMAX": f"max({_w('{a}')}, {_w('{b}')})",
+    "IABS": _w(f"abs({_w('{a}')})"),
+    "IAND": _w("({a} & {b})"),
+    "IOR": _w("({a} | {b})"),
+    "IXOR": _w("({a} ^ {b})"),
+    "INOT": _w("~{a}"),
+    "ISHL": _w("({a} << ({b} & 31))"),
+    "ISHR": f"{_w('{a}')} >> ({{b}} & 31)",
+    "IUSHR": _w("(({a} & 4294967295) >> ({b} & 31))"),
+    "IFEQ": "(0 if {a} - {b} & 4294967295 else 1)",
+    "IFNE": "(1 if {a} - {b} & 4294967295 else 0)",
+    "IFLT": _cmp("<"),
+    "IFLE": _cmp("<="),
+    "IFGT": _cmp(">"),
+    "IFGE": _cmp(">="),
+    "MOVE": _w("{a}"),
 }
-_NS["_F"] = _Fault
+
+
+def _inline(opcode: str, args: List[str]) -> str:
+    """``opcode`` applied to the operand expressions ``args``, inline."""
+    return _INLINE[opcode].format(**dict(zip("ab", args)))
+
 
 #: generated source -> function, a process-wide LRU of ``_CODE_SIZE``
 #: entries.  Lock-free: a lost race only compiles a source twice.
@@ -169,9 +225,10 @@ class _Lowering:
     issue when it is multi-cycle or an earlier commit overwrites one.
     """
 
-    def __init__(self, sig: tuple) -> None:
+    def __init__(self, sig: tuple, guarded: bool) -> None:
+        self.guarded = guarded  # budget check per cycle, not at entry
         self.rows = set()  # RF rows bound as locals rN
-        self.heap_ops = set()  # "load" / "store"
+        self.handles: Dict[int, str] = {}  # heap handle -> local hN
         self.body: List[str] = []
         self.n_vals = 0
         self.flights = [
@@ -206,7 +263,8 @@ class _Lowering:
     def step(self, k: int, step: _Step, last: bool) -> bool:
         """Lower one cycle; False once it raised a static fault."""
         body = self.body
-        body.append(f"if left <= {k}: raise _F")
+        if self.guarded:
+            body.append(f"if left <= {k}: raise _F")
         busy = {f[2].pe for f in self.flights}
         fin = []
         for f in self.flights:  # finish countdown; duration < 1 never ends
@@ -265,7 +323,7 @@ class _Lowering:
                         "RuntimeError",
                     )
                 rec, args = status[0][2], status[0][3]
-                body.append(f"s = _{rec.opcode}({', '.join(args)})")
+                body.append(f"s = {_inline(rec.opcode, args)}")
                 rp = f"bits[{cb.read_pos}]"
                 rn = "0" if cb.read_neg is None else f"bits[{cb.read_neg}]"
                 for name, form in zip("pq", _COMBINE[cb.func]):
@@ -286,28 +344,39 @@ class _Lowering:
             pe, rec, args = f[2].pe, f[2], f[3]
             if rec.kind in _NO_COMMIT:
                 continue
+            if rec.predicated and pred is None:
+                return self.fault(
+                    f"predicated {rec.opcode} on PE {pe} committed at "
+                    f"ccnt {ccnt} without a predication signal"
+                )
             if rec.kind == _K_STORE:
-                self.heap_ops.add("store")
-                line = f"store({rec.handle}, {args[0]}, {args[1]})"
+                # out of range or unknown handle (bound to ()): the heap
+                # raises the interpreter's HeapError
+                h, i, v = self.bind(rec.handle), args[0], args[1]
+                on, other = (
+                    (f"{pred} and ", f"elif {pred}") if rec.predicated
+                    else ("", "else")
+                )
+                body.append(f"if {on}0 <= {i} < len({h}): {h}[{i}] = {_w(v)}")
+                body.append(f"{other}: heap.store({rec.handle}, {i}, {v})")
+                continue
+            self.rows.add(pe)
+            if rec.kind == _K_VALUE:
+                value = _inline(rec.opcode, args)
+            elif rec.kind == _K_CONST:
+                value = str(rec.value)
             else:
-                self.rows.add(pe)
-                if rec.kind == _K_VALUE:
-                    value = f"_{rec.opcode}({', '.join(args)})"
-                elif rec.kind == _K_CONST:
-                    value = str(rec.value)
-                else:
-                    self.heap_ops.add("load")
-                    value = f"load({rec.handle}, {args[0]})"
-                line = f"r{pe}[{rec.dest_slot}] = {value}"
-            if rec.predicated:
-                if pred is None:
-                    return self.fault(
-                        f"predicated {rec.opcode} on PE {pe} committed at "
-                        f"ccnt {ccnt} without a predication signal"
-                    )
-                line = f"if {pred}: {line}"
-            body.append(line)
+                h, i = self.bind(rec.handle), args[0]
+                value = (
+                    f"{h}[{i}] if 0 <= {i} < len({h}) "
+                    f"else heap.load({rec.handle}, {i})"
+                )
+            on = f"if {pred}: " if rec.predicated else ""
+            body.append(f"{on}r{pe}[{rec.dest_slot}] = {value}")
         return True
+
+    def bind(self, handle: int) -> str:  # (handles may be negative)
+        return self.handles.setdefault(handle, f"h{len(self.handles)}")
 
     def terminal(self, step: _Step) -> None:
         """The CCU word of the trace's last step: next trace or halt."""
@@ -329,17 +398,25 @@ class _Lowering:
             self.body.append(f"return 1{cond}")
 
 
-def _lower(steps: Tuple[_Step, ...], sig: tuple) -> _Trace:
-    """Lower ``steps`` entered with ``sig`` in flight to a :class:`_Trace`."""
-    low = _Lowering(sig)
+def _lower(
+    steps: Tuple[_Step, ...], sig: tuple, guarded: bool = False
+) -> _Trace:
+    """Lower ``steps`` entered with ``sig`` in flight to a :class:`_Trace`.
+
+    ``guarded`` checks the cycle budget before every cycle instead of
+    returning -2 at entry when it cannot cover them all.
+    """
+    low = _Lowering(sig, guarded)
     for k, step in enumerate(steps):
         if not low.step(k, step, step is steps[-1]):
             break  # the generated code raises here
     else:
         low.terminal(steps[-1])
     head = ["def _t(rf, bits, heap, left, fl):"]
+    if not guarded:
+        head.append(f"if left < {len(steps)}: return -2")
     head += [f"r{p} = rf[{p}]" for p in sorted(low.rows)]
-    head += [f"{op} = heap.{op}" for op in sorted(low.heap_ops)]
+    head += [f"{h} = heap.get({n})" for n, h in low.handles.items()]
     if low.carried_in:
         head.append(f"{', '.join(low.carried_in)}, = fl")
     tr = _Trace()
@@ -347,6 +424,8 @@ def _lower(steps: Tuple[_Step, ...], sig: tuple) -> _Trace:
     tr.fn = _function(tr.source)
     tr.n = len(steps)
     tr.succ = [None, None]
+    tr.key = (steps[0].ccnt, sig)
+    tr.guarded = None
     tr.keys = low.keys
     tr.energy = low.energy
     tr.ops = tuple(low.ops.items())
@@ -407,6 +486,19 @@ class CompiledProgram:
             tr = self._lowered[key] = _lower(steps, key[1])
         return tr
 
+    def _guarded(self, tr: _Trace):
+        """``tr``'s per-cycle budget-checked twin (lowered on first use)."""
+        if tr.guarded is None:
+            ccnt, sig = tr.key
+            tr.guarded = _lower(self._traces[ccnt], sig, guarded=True).fn
+        return tr.guarded
+
+    def _unlink(self) -> None:
+        """Drop the successor links, which loops make cyclic, so the
+        traces die by reference counting, without the collector."""
+        for tr in self._lowered.values():
+            tr.succ = [None, None]
+
     def trace_source(self, entry: int) -> str:
         """Generated source of the trace entered idle at CCNT ``entry``."""
         return self._trace((entry, ())).source
@@ -436,10 +528,20 @@ class CompiledProgram:
         try:
             while True:
                 i = tr.fn(rf, cbox_bits, heap, max_cycles - cycles, fl)
+                if i < 0:
+                    if i == -1:
+                        cycles += tr.n
+                        seen.append(tr)
+                        break
+                    # -2: the budget ends inside this trace; the twin
+                    # raises the runaway fault at that cycle, after the
+                    # cycles before it committed
+                    self._guarded(tr)(
+                        rf, cbox_bits, heap, max_cycles - cycles, fl
+                    )
+                    raise AssertionError("guarded trace outran its budget")
                 cycles += tr.n
                 seen.append(tr)
-                if i < 0:
-                    break
                 if i:
                     taken += 1
                     if len(seen) > 4096:  # bounds memory on long loops
@@ -494,7 +596,8 @@ def _memo_count(event: str) -> None:
 
 
 def _memo_evict(key: int) -> None:
-    _COMPILED.pop(key, None)
+    for _, compiled in _COMPILED.pop(key, ()):
+        compiled._unlink()
     _memo_count("evict")
 
 

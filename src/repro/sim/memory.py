@@ -50,6 +50,11 @@ class Heap:
         """The current contents of an array (a direct reference)."""
         return self._get(handle)
 
+    def get(self, handle: int) -> Sequence[int]:
+        """The array of ``handle`` (a direct reference), or ``()`` when
+        none is allocated: an empty range every index falls outside."""
+        return self._arrays.get(handle, ())
+
     def items(self) -> Iterable:
         """``(handle, contents)`` pairs (direct references)."""
         return self._arrays.items()

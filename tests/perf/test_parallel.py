@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 
 import pytest
@@ -54,7 +55,24 @@ def _crash_if_child(parent_pid):
     return parent_pid
 
 
+def _freeze_count(_item):
+    return gc.get_freeze_count()
+
+
 class TestPoolPath:
+    def test_workers_fork_from_a_frozen_heap(self):
+        """Forked workers find the inherited objects frozen, so their
+        collections skip them; the parent's heap is unfrozen after the
+        map, also when a task raises."""
+        evaluator = ParallelEvaluator(jobs=2)
+        counts = evaluator.map(_freeze_count, [0, 1])
+        assert evaluator.last_used_pool
+        assert min(counts) > 0
+        assert gc.get_freeze_count() == 0
+        with pytest.raises(ValueError, match="task 1 failed"):
+            evaluator.map(_boom, [1, 2])
+        assert gc.get_freeze_count() == 0
+
     def test_results_in_submission_order(self):
         evaluator = ParallelEvaluator(jobs=2)
         items = list(range(20))

@@ -10,6 +10,7 @@ from one shared schedule, so any divergence is the simulator's fault,
 not the scheduler's.
 """
 
+import random
 import sys
 
 import pytest
@@ -17,16 +18,17 @@ import pytest
 from repro.arch.cbox import FRESH_NEG, CBoxFunc, CBoxOp
 from repro.arch.ccu import BranchKind, CCUEntry
 from repro.arch.library import irregular_composition, mesh_composition
+from repro.arch.operations import OPS
 from repro.context.generator import generate_contexts
 from repro.context.words import ContextProgram, PEContext, SrcSel
 from repro.ir.frontend import compile_kernel
 from repro.kernels import adpcm, crc32, dotp, fir, gcd, histogram, matmul, sort
 from repro.obs import observe
 from repro.sched.scheduler import schedule_kernel
-from repro.sim.compiled import compile_program
+from repro.sim.compiled import _INLINE, _Trace, _inline, compile_program
 from repro.sim.invocation import invoke_kernel, run_invocation
 from repro.sim.machine import CGRASimulator, SimulationError
-from repro.sim.memory import Heap
+from repro.sim.memory import Heap, HeapError
 
 COMPS = {
     "mesh4": mesh_composition(4),
@@ -458,15 +460,21 @@ def _outcome(comp, prog, backend, heap=None, **kw):
     sim = CGRASimulator(comp, prog, heap, backend=backend, **kw)
     try:
         result = sim.run()
-    except (SimulationError, RuntimeError) as exc:
+    except (SimulationError, RuntimeError, HeapError) as exc:
         result = (type(exc), str(exc))
     heap_state = sorted((h, list(a)) for h, a in sim.heap.items())
     return result, [list(row) for row in sim.rf], heap_state
 
 
-def _assert_backends_agree(comp, prog, **kw):
-    ref = _outcome(comp, prog, "interpreter", **kw)
-    got = _outcome(comp, prog, "compiled", **kw)
+def _assert_backends_agree(comp, prog, arrays=None, **kw):
+    """Both backends, each on a fresh heap holding ``arrays``."""
+    outcomes = []
+    for backend in ("interpreter", "compiled"):
+        heap = Heap()
+        for handle, data in (arrays or {}).items():
+            heap.allocate(handle, data)
+        outcomes.append(_outcome(comp, prog, backend, heap, **kw))
+    ref, got = outcomes
     assert got == ref
     return got
 
@@ -733,3 +741,229 @@ def test_compile_memo_counters():
         del program
         gc.collect()
         assert session.metrics.counter_value("sim.compile.memo.evict") >= 1
+
+
+#: operands the inline forms must treat like ``OpSpec.func``: edges of
+#: the 32-bit range, values beyond it, and seeded random ints
+_EDGES = [0, 1, -1, 2**31 - 1, -(2**31), 2**32 + 5, -(2**40)]
+_RNG = random.Random(27)
+_OPERANDS = _EDGES + [
+    _RNG.randint(-(2**40), 2**40) >> _RNG.randrange(41) for _ in range(200)
+]
+_SHIFTS = [0, 31, 32, 33, -1]
+
+
+class TestInlineSemantics:
+    def test_every_operation_has_an_inline_form(self):
+        assert set(_INLINE) == {op for op, spec in OPS.items() if spec.func}
+
+    @pytest.mark.parametrize("opcode", sorted(_INLINE))
+    def test_inline_form_equals_operation(self, opcode):
+        spec = OPS[opcode]
+        params = ["a", "b"][: spec.arity]
+        inline = eval(f"lambda {', '.join(params)}: {_inline(opcode, params)}")
+        if spec.arity == 1:
+            cases = [(a,) for a in _OPERANDS]
+        else:
+            rng = random.Random(opcode)
+            cases = [(a, b) for a in _EDGES for b in _OPERANDS]
+            cases += [(b, a) for a, b in cases]
+            cases += [(a, b) for a in _OPERANDS for b in _SHIFTS]
+            cases += [
+                (rng.choice(_OPERANDS), rng.choice(_OPERANDS))
+                for _ in range(200)
+            ]
+        for args in cases:
+            got = inline(*args)
+            assert got == spec.func(*args), (opcode, args)
+            assert type(got) is int, (opcode, args)  # stored into bits/RF
+
+    def test_adpcm_traces_call_no_operation(self):
+        kernel, livein, arrays = next(
+            (build(), li, ar) for name, build, li, ar in WORKLOADS
+            if name == "adpcm"
+        )
+        comp = COMPS["mesh4"]
+        program = generate_contexts(
+            schedule_kernel(kernel, comp), comp, kernel
+        )
+        invoke_kernel(
+            kernel, comp, dict(livein),
+            {k: list(v) for k, v in arrays.items()},
+            program=program, backend="compiled",
+        )
+        sources = [
+            tr.source for tr in compile_program(program, comp)._lowered.values()
+        ]
+        assert len(sources) > 1
+        for source in sources:
+            for opcode in OPS:
+                assert f"_{opcode}(" not in source
+            assert "load(" not in source.replace("heap.load(", "")
+
+
+def _dma_program(comp, opcode, index, handle, dma_pe):
+    """``dma_pe`` loads ``handle[index]`` (or stores 99 there), the DMA
+    committing at ccnt 3 next to CONST commits on PEs 1 and 2."""
+    prog = _empty(comp, 5)
+    prog.pe_contexts[dma_pe][0] = PEContext(
+        "CONST", immediate=index, dest_slot=0
+    )
+    prog.pe_contexts[dma_pe][1] = PEContext("CONST", immediate=99, dest_slot=1)
+    srcs = (SrcSel.rf(0), SrcSel.rf(1))
+    prog.pe_contexts[dma_pe][2] = (
+        PEContext("DMA_LOAD", srcs=srcs[:1], immediate=handle, dest_slot=2,
+                  duration=2)
+        if opcode == "DMA_LOAD"
+        else PEContext("DMA_STORE", srcs=srcs, immediate=handle, duration=2)
+    )
+    for pe in (1, 2):
+        prog.pe_contexts[pe][3] = PEContext(
+            "CONST", immediate=pe, dest_slot=5
+        )
+    prog.ccu_contexts[4] = CCUEntry(BranchKind.HALT)
+    return prog
+
+
+class TestInlineDMA:
+    """Bounds-guarded DMA in generated code raises the interpreter's
+    HeapError at the same cycle, after the same commits."""
+
+    @pytest.mark.parametrize("dma_pe", [0, 3])  # commits before / after
+    @pytest.mark.parametrize("opcode", ["DMA_LOAD", "DMA_STORE"])
+    @pytest.mark.parametrize(
+        "index,handle",
+        [(1, 7), (2, 7), (3, 7), (-1, 7), (2**31 - 1, 7), (0, 8), (0, -7)],
+    )
+    def test_dma_access(self, dma_pe, opcode, index, handle):
+        comp = mesh_composition(4)
+        assert dma_pe in comp.dma_pes()
+        prog = _dma_program(comp, opcode, index, handle, dma_pe)
+        result, rf, heap = _assert_backends_agree(
+            comp, prog, arrays={7: [10, 20, 30]}
+        )
+        if 0 <= index < 3 and handle == 7:
+            assert rf[1][5] == 1 and rf[2][5] == 2
+            stored = 99 if opcode == "DMA_STORE" else 10 * (index + 1)
+            assert heap[0][1][index] == stored
+        else:
+            assert result[0] is HeapError
+            assert rf[1][5] == (1 if dma_pe == 3 else 0)
+
+    @pytest.mark.parametrize("status", [0, 1])
+    @pytest.mark.parametrize("index", [1, 5, -1])
+    def test_predicated_store_out_of_range(self, status, index):
+        """A squashed store never checks its index; a committed one does."""
+        comp = mesh_composition(4)
+        dma_pe = comp.dma_pes()[-1]
+        prog = _empty(comp, 5)
+        prog.pe_contexts[0][0] = PEContext(
+            "CONST", immediate=status, dest_slot=0
+        )
+        prog.pe_contexts[dma_pe][0] = PEContext(
+            "CONST", immediate=index, dest_slot=0
+        )
+        prog.pe_contexts[0][1] = PEContext(
+            "IFGT", srcs=(SrcSel.rf(0), SrcSel.rf(1))
+        )
+        prog.cbox_contexts[1] = CBoxOp(
+            status_pe=0, func=CBoxFunc.STORE, write_pos=0, write_neg=1
+        )
+        prog.pe_contexts[dma_pe][1] = PEContext(
+            "CONST", immediate=99, dest_slot=1
+        )
+        prog.pe_contexts[dma_pe][2] = PEContext(
+            "DMA_STORE",
+            srcs=(SrcSel.rf(0), SrcSel.rf(1)),
+            immediate=7,
+            duration=2,
+            predicated=True,
+        )
+        prog.cbox_contexts[3] = CBoxOp(out_pe_slot=0)
+        prog.ccu_contexts[4] = CCUEntry(BranchKind.HALT)
+        result, _, heap = _assert_backends_agree(
+            comp, prog, arrays={7: [10, 20, 30]}
+        )
+        if status == 0:
+            assert heap == [(7, [10, 20, 30])] and result.cycles == 5
+        elif index == 1:
+            assert heap == [(7, [10, 99, 30])]
+        else:
+            assert result[0] is HeapError
+
+
+def _inflight_loop(comp):
+    """A 3-cycle loop body entered with a 3-cycle IMUL in flight: the
+    IMUL issued in the body's last cycle finishes in the next pass."""
+    prog = _empty(comp, 4)
+    prog.pe_contexts[1][0] = PEContext("CONST", immediate=1, dest_slot=0)
+    prog.pe_contexts[2][0] = PEContext("CONST", immediate=3, dest_slot=0)
+    for ccnt in (1, 2):  # r1[0] doubles every cycle
+        prog.pe_contexts[1][ccnt] = PEContext(
+            "IADD", srcs=(SrcSel.rf(0), SrcSel.rf(0)), dest_slot=0
+        )
+    prog.pe_contexts[2][3] = PEContext(
+        "IMUL", srcs=(SrcSel.rf(0), SrcSel.rf(0)), dest_slot=0, duration=3
+    )
+    prog.ccu_contexts[3] = CCUEntry(BranchKind.UNCONDITIONAL, 1)
+    return prog
+
+
+class TestEntryBudgetCheck:
+    @pytest.mark.parametrize("max_cycles", range(1, 12))
+    def test_budget_ends_inside_an_inflight_trace(self, max_cycles):
+        comp = mesh_composition(4, mul_duration=3)
+        prog = _inflight_loop(comp)
+        (kind, message), rf, _ = _assert_backends_agree(
+            comp, prog, max_cycles=max_cycles
+        )
+        assert kind is SimulationError and str(max_cycles) in message
+        lowered = compile_program(prog, comp)._lowered
+        assert [len(sig) for ccnt, sig in lowered] == [0, 1][: len(lowered)]
+        if max_cycles >= 4:  # the loop trace was entered; its twin raised
+            assert len(lowered) == 2
+
+    def test_guarded_twin_lowered_only_when_the_budget_runs_out(self):
+        comp = mesh_composition(4)
+        prog = _dma_program(comp, "DMA_LOAD", 1, 7, 0)
+        heap = Heap()
+        heap.allocate(7, [10, 20, 30])
+        CGRASimulator(comp, prog, heap, backend="compiled").run()
+        (tr,) = compile_program(prog, comp)._lowered.values()
+        assert tr.guarded is None
+        assert tr.source.splitlines()[1].strip() == "if left < 5: return -2"
+        assert "raise" not in tr.source
+        result, _, _ = _assert_backends_agree(
+            comp, prog, arrays={7: [10, 20, 30]}, max_cycles=4
+        )
+        assert result[0] is SimulationError and tr.guarded is not None
+
+
+def test_freed_programs_leave_no_trace_garbage():
+    """Loops link traces into cycles; evicting a freed program's compiled
+    form unlinks them, so nothing is left for the cycle collector."""
+    import gc
+
+    kernel = gcd.build_kernel()
+    comp = COMPS["mesh4"]
+    schedule = schedule_kernel(kernel, comp)
+
+    def traces():
+        return sum(type(o) is _Trace for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = traces()
+        for a in range(20):
+            program = generate_contexts(schedule, comp, kernel)
+            result = run_invocation(
+                program, comp, {"a": 1071 + a, "b": 462}, backend="compiled"
+            )
+            assert result.run.branches_taken > 1
+            assert len(compile_program(program, comp)._lowered) > 1
+            del program
+        after = traces()
+    finally:
+        gc.enable()
+    assert after == before
