@@ -78,7 +78,7 @@ class BaselineResult:
 
 class AmidarInterpreter:
     def __init__(self, kernel: Kernel, *, max_nodes: int = 100_000_000) -> None:
-        kernel.validate()
+        kernel.facts()  # validated once per kernel shape
         self.kernel = kernel
         self.max_nodes = max_nodes
 

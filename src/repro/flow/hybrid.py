@@ -73,7 +73,7 @@ class HybridExecutor:
         *,
         max_cycles: int = 50_000_000,
     ) -> None:
-        kernel.validate()
+        kernel.facts()  # validated once per kernel shape
         self.kernel = kernel
         self.comp = comp
         self.max_cycles = max_cycles

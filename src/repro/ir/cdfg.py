@@ -11,7 +11,7 @@ edges with weights).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -24,11 +24,27 @@ from repro.ir.regions import (
     SeqRegion,
 )
 
-__all__ = ["Kernel", "ValidationError"]
+__all__ = ["Kernel", "KernelFacts", "ValidationError"]
 
 
 class ValidationError(Exception):
     """The kernel violates a CDFG structural invariant."""
+
+
+@dataclass(frozen=True, eq=False)
+class KernelFacts:
+    """What scheduling needs of a kernel, computed once per shape.
+
+    :meth:`Kernel.facts` keeps these on the kernel object, so they die
+    with it and travel with it when it is pickled.
+    """
+
+    #: the kernel as it was validated (see :meth:`Kernel.facts`)
+    shape: Tuple[Any, ...]
+    alu_opcodes: FrozenSet[str]
+    #: kernel-only data later layers derive once (the scheduler's
+    #: superblock skeletons); dropped together with the facts
+    memo: Dict[Any, Any] = field(default_factory=dict)
 
 
 @dataclass(eq=False)
@@ -104,6 +120,28 @@ class Kernel:
 
     # -- validation --------------------------------------------------------
 
+    def facts(self) -> KernelFacts:
+        """Validate once per shape; return the facts kept on the kernel.
+
+        The shape lists the interface and every region and node of the
+        tree by identity.  So the in-place transforms of
+        :mod:`repro.ir.transform`, which replace nodes and regions, get
+        fresh facts, and the old ones (with their memo) are dropped.
+        After editing an existing node's operands or deps in place, call
+        :meth:`validate`, which also drops them.
+        """
+        shape: List[Any] = []
+        for group in (self.params, self.results, self.arrays, self.variables.values()):
+            shape.append(len(group))
+            shape.extend(group)
+        _region_shape(self.body, shape)
+        facts = self.__dict__.get("_facts")
+        if facts is None or facts.shape != tuple(shape):
+            self.validate()
+            facts = KernelFacts(tuple(shape), frozenset(self.used_alu_opcodes()))
+            self.__dict__["_facts"] = facts
+        return facts
+
     def validate(self) -> None:
         """Check CDFG structural invariants; raise :class:`ValidationError`.
 
@@ -113,7 +151,10 @@ class Kernel:
         * compare-node statuses feed conditions, never value operands,
         * condition leaves live in the region's own cond block / header,
         * referenced variables and arrays are declared.
+
+        Drops the facts :meth:`facts` keeps on the kernel.
         """
+        self.__dict__.pop("_facts", None)
         owner: Dict[int, BlockRegion] = {}
         for block in self.blocks():
             for node in block.node_list:
@@ -249,3 +290,18 @@ class Kernel:
             f"{len(self.arrays)} arrays; ops: "
             + ", ".join(f"{k}={v}" for k, v in sorted(hist.items()))
         )
+
+
+def _region_shape(region: Region, out: List[Any]) -> None:
+    """Append ``region``, its condition and its subtree to ``out``."""
+    out.append(region)
+    if isinstance(region, BlockRegion):
+        out.append(len(region.node_list))
+        out.extend(region.node_list)
+        return
+    if isinstance(region, (IfRegion, LoopRegion)):
+        out.append(region.cond)
+    children = region.children()
+    out.append(len(children))
+    for child in children:
+        _region_shape(child, out)

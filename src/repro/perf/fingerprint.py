@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.arch.cbox import CBoxFunc
+from repro.arch.ccu import BranchKind
 from repro.arch.composition import Composition
-from repro.context.words import ContextProgram
+from repro.context.words import ContextProgram, SrcSel
 from repro.ir.cdfg import Kernel
 from repro.ir.nodes import Node
 from repro.ir.regions import (
@@ -242,7 +244,9 @@ def program_bytes(program: ContextProgram) -> bytes:
     are equal: the encoding covers every context entry (PE, C-Box,
     CCU), the live-in/live-out placements (sorted by variable name, so
     object identity and dict insertion order cannot leak in), the RF
-    occupancy, and the referenced arrays.
+    occupancy, and the referenced arrays.  Each entry is written as the
+    text of its dataclass ``repr``, built field by field: the generated
+    ``__repr__`` passes through a recursion guard on every call.
     """
     lines: List[str] = [
         f"{program.kernel_name} on {program.composition_name}",
@@ -265,16 +269,41 @@ def program_bytes(program: ContextProgram) -> bytes:
         + repr(sorted((a.name, a.handle) for a in program.arrays)),
     ]
     for pe, rows in enumerate(program.pe_contexts):
-        for cycle, entry in enumerate(rows):
-            if entry is None:
-                continue
-            lines.append(f"pe{pe}@{cycle}: {entry!r}")
+        for cycle, e in enumerate(rows):
+            if e is not None:
+                lines.append(
+                    f"pe{pe}@{cycle}: PEContext(opcode={e.opcode!r}, "
+                    f"srcs={_srcs_text(e.srcs)}, dest_slot={e.dest_slot!r}, "
+                    f"predicated={e.predicated!r}, out_addr={e.out_addr!r}, "
+                    f"immediate={e.immediate!r}, duration={e.duration!r})"
+                )
     for cycle, cb in enumerate(program.cbox_contexts):
         if cb is not None:
-            lines.append(f"cbox@{cycle}: {cb!r}")
+            lines.append(
+                f"cbox@{cycle}: CBoxOp(status_pe={cb.status_pe!r}, "
+                f"func={_ENUM_TEXT[cb.func]}, read_pos={cb.read_pos!r}, "
+                f"read_neg={cb.read_neg!r}, write_pos={cb.write_pos!r}, "
+                f"write_neg={cb.write_neg!r}, out_pe_slot={cb.out_pe_slot!r}, "
+                f"out_ctrl_slot={cb.out_ctrl_slot!r})"
+            )
     for cycle, ccu in enumerate(program.ccu_contexts):
-        lines.append(f"ccu@{cycle}: {ccu!r}")
+        lines.append(
+            f"ccu@{cycle}: CCUEntry(kind={_ENUM_TEXT[ccu.kind]}, "
+            f"target={ccu.target!r})"
+        )
     return "\n".join(lines).encode("utf-8")
+
+
+#: ``repr`` of every enum member (and ``None``) an entry field can hold
+_ENUM_TEXT = {None: "None", **{m: repr(m) for m in (*CBoxFunc, *BranchKind)}}
+
+
+def _srcs_text(srcs: Tuple[SrcSel, ...]) -> str:
+    """``repr(srcs)`` for a tuple of operand selectors."""
+    if not srcs:
+        return "()"
+    inner = ", ".join([f"SrcSel(pe={s.pe!r}, slot={s.slot!r})" for s in srcs])
+    return f"({inner},)" if len(srcs) == 1 else f"({inner})"
 
 
 def program_digest(program: Optional[ContextProgram]) -> Optional[str]:

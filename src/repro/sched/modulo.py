@@ -354,7 +354,7 @@ class ModuloStrategy(SchedulingStrategy):
         # registers body-if condition pairs with the planner, so the
         # checkpoint every failed attempt rolls back to is taken after it
         span_start = sched.frontier
-        sb = build_superblock(span_regions, None, sched.planner)
+        sb = build_superblock(span_regions, None, sched.planner, sched._skeletons)
         bounds = compute_mii(sched, sb)
         checkpoint = SchedCheckpoint(sched)
         mii = bounds.mii

@@ -14,7 +14,7 @@ placement leaves no residue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.arch.composition import Composition
 from repro.obs import get_metrics
@@ -43,7 +43,6 @@ class Router:
         self,
         comp: Composition,
         values: ValueTable,
-        region_start_fn: Callable[[], int],
     ) -> None:
         self.comp = comp
         self.icn = comp.interconnect
@@ -53,8 +52,9 @@ class Router:
         #: in the scheduler's commit path)
         self.obs_metrics = get_metrics()
         #: earliest cycle retroactive copies may be placed at (the
-        #: current superblock's start — earlier regions are sealed)
-        self._region_start = region_start_fn
+        #: current superblock's start — earlier regions are sealed);
+        #: the scheduler sets it when it starts placing a superblock
+        self.region_start = 0
 
     # -- public ---------------------------------------------------------
 
@@ -142,7 +142,7 @@ class Router:
         # the way into the destination's RF (needed when the last
         # holder's out-port is contended at `cycle`).
         intermediates = path[1:] if into_dst else path[1:-1]
-        region_start = self._region_start()
+        region_start = self.region_start
 
         moves: List[PlacedOp] = []
         ports: List[Tuple[int, int, int]] = []
@@ -176,9 +176,8 @@ class Router:
             cur_pe, cur_vid, cur_ready = hop_pe, new_vid, finish + 1
 
         if into_dst:
-            # the value now sits in dst_pe's own RF
-            if cur_pe != dst_pe or cur_ready > cycle:
-                return None
+            # the value now sits in dst_pe's own RF: the last hop is onto
+            # dst_pe and every hop finishes by cycle - 1
             return AccessPlan(
                 OperandSource(dst_pe, cur_vid), ports, moves, new_copies
             )

@@ -33,6 +33,7 @@ from repro.ir.regions import (
     SeqRegion,
 )
 from repro.obs import get_metrics, get_tracer
+from repro.perf.fingerprint import composition_fingerprint
 from repro.sched.predication import PredPlanner
 from repro.sched.routing import AccessPlan, Router
 from repro.sched.schedule import (
@@ -66,6 +67,11 @@ from repro.sched.superblock import OperandSpec, SBItem, Superblock, build_superb
 from repro.arch.ccu import BranchKind
 
 __all__ = ["RegionScheduler", "schedule_kernel"]
+
+#: composition digest -> opcode -> eligible-PE base list
+#: (:meth:`RegionScheduler._pe_base_list`); keyed by content, so equal
+#: compositions share one entry and a dead one's list is never served
+_PE_LISTS: Dict[str, Dict[str, Tuple[int, ...]]] = {}
 
 #: opcodes whose effects must be predicated under speculation
 _PREDICATED_EFFECTS = ("VARWRITE", "DMA_LOAD", "DMA_STORE")
@@ -115,9 +121,9 @@ class RegionScheduler:
         ``region_plan`` injects a precomputed region-analysis result
         (the pipeline's pass 1) and defaults to analysing here.
         """
-        kernel.validate()
+        facts = kernel.facts()
         validate_scheduler_mode(scheduler_mode)
-        missing = comp.validate_for_kernel_ops(kernel.used_alu_opcodes())
+        missing = comp.validate_for_kernel_ops(facts.alu_opcodes)
         if missing:
             raise SchedulingError(
                 f"composition {comp.name} supports no PE for: {missing}"
@@ -146,10 +152,9 @@ class RegionScheduler:
         self.vars = VarTracker(self.values)
         self.consts = ConstTracker(self.values)
         self.planner = PredPlanner()
-        self.router = Router(comp, self.values, lambda: self._region_start)
+        self.router = Router(comp, self.values)
 
         self.frontier = 0
-        self._region_start = 0
         #: cycles some emitted branch jumps to; a region-end branch must
         #: not be placed *before* such a cycle (jumpers would skip it)
         self._bound_targets: set = set()
@@ -170,8 +175,11 @@ class RegionScheduler:
         #: opcode -> eligible-PE base list (support + DMA filters are
         #: static per composition; only the attraction re-sort changes
         #: between placement attempts).  Pre-sorted in connectivity
-        #: order, the attraction-free tie-break.
-        self._pe_base: Dict[str, Tuple[int, ...]] = {}
+        #: order, the attraction-free tie-break.  Shared by every
+        #: scheduler of an equal composition.
+        self._pe_base = _PE_LISTS.setdefault(composition_fingerprint(comp), {})
+        #: superblock skeletons of this kernel (repro.sched.superblock)
+        self._skeletons = facts.memo
 
     # ------------------------------------------------------------------
     # top level
@@ -382,7 +390,7 @@ class RegionScheduler:
             and self.frontier not in self._bound_targets
             and candidate not in self.res.branches
             and candidate not in self.res.cbox_outctrl
-            and candidate >= self._region_start
+            and candidate >= self.router.region_start
         ):
             return candidate
         return self.frontier
@@ -394,7 +402,9 @@ class RegionScheduler:
     def _sched_superblock(
         self, regions: Sequence[Region], pred: Optional[PredRef]
     ) -> None:
-        self._place_superblock(build_superblock(regions, pred, self.planner))
+        self._place_superblock(
+            build_superblock(regions, pred, self.planner, self._skeletons)
+        )
 
     def _place_superblock(self, sb: Superblock) -> None:
         """List-schedule an already built superblock from the frontier."""
@@ -409,7 +419,7 @@ class RegionScheduler:
         if self.obs_metrics.enabled:
             self.obs_metrics.inc("sched.superblocks")
             self.obs_metrics.inc("sched.superblock.items", len(sb.items))
-        self._region_start = start = self.frontier
+        self.router.region_start = start = self.frontier
         self.node_locs = {}
         self._pending_unfused: List[Tuple[int, SBItem]] = []
         self._fused_done: List[int] = []
@@ -498,7 +508,8 @@ class RegionScheduler:
         """Eligible PEs for an opcode, in connectivity order (cached).
 
         The support and DMA filters depend only on the composition, so
-        the base list is computed once per opcode; ``_pe_order`` then
+        the base list is computed once per opcode and composition
+        content (:data:`_PE_LISTS`); ``_pe_order`` then
         only applies the per-item work (home filter, attraction sort).
         """
         base = self._pe_base.get(item_opcode)
@@ -764,11 +775,11 @@ class RegionScheduler:
                 unfused = SBItem(
                     node=write_node,
                     pred=item.pred,
-                    operands=[OperandSpec.of_node(item.node)],
-                    deps={item.key},
+                    operands=(OperandSpec.of_node(item.node),),
+                    deps=frozenset({item.key}),
                     dest_var=write_node.var,
+                    priority=item.priority,
                 )
-                unfused.priority = item.priority
                 sb.items[write_node.id] = unfused
                 self._readd_unfused(write_node.id, unfused)
 
@@ -879,7 +890,7 @@ class RegionScheduler:
                     [],
                 )
         # retroactive local materialisation (a CONST context entry)
-        cycle = self._find_free_cycle(txn, pe, self._region_start, t - 1)
+        cycle = self._find_free_cycle(txn, pe, self.router.region_start, t - 1)
         if cycle is not None:
             duration = self.comp.pes[pe].duration("CONST")
             if cycle + duration - 1 <= t - 1:

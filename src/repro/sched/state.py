@@ -413,7 +413,7 @@ class SchedCheckpoint:
         self._combined_at = dict(planner.combined_at)
         self._steps = dict(planner.steps)
         self._frontier = sched.frontier
-        self._region_start = sched._region_start
+        self._region_start = sched.router.region_start
         self._bound_targets = set(sched._bound_targets)
         self._n_loop_spans = len(sched.loop_spans)
         self._n_modulo_loops = len(sched.modulo_loops)
@@ -448,7 +448,7 @@ class SchedCheckpoint:
         planner.combined_at = dict(self._combined_at)
         planner.steps = dict(self._steps)
         sched.frontier = self._frontier
-        sched._region_start = self._region_start
+        sched.router.region_start = self._region_start
         sched._bound_targets = set(self._bound_targets)
         del sched.loop_spans[self._n_loop_spans:]
         del sched.modulo_loops[self._n_modulo_loops:]

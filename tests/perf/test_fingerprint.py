@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
-from repro.arch.library import irregular_composition, mesh_composition
+import pytest
+
+from repro.arch.library import (
+    all_paper_compositions,
+    irregular_composition,
+    mesh_composition,
+)
+from repro.context.generator import generate_contexts
 from repro.kernels import dotp, fir, gcd
 from repro.perf.fingerprint import (
     composition_fingerprint,
     flags_fingerprint,
     kernel_fingerprint,
+    program_bytes,
     schedule_cache_key,
 )
+from repro.sched.scheduler import schedule_kernel
+from repro.verify.workloads import WORKLOADS, get_workload
 
 
 class TestKernelFingerprint:
@@ -74,3 +84,72 @@ class TestFlagsAndKey:
         assert schedule_cache_key(k, c, kernel_fp=fp, fmt=1) == (
             schedule_cache_key(k, c, fmt=1)
         )
+
+
+def _repr_program_bytes(program):
+    """The earlier ``program_bytes``: every entry through its dataclass
+    ``repr``.  Kept as the oracle of the field-by-field encoder."""
+    lines = [
+        f"{program.kernel_name} on {program.composition_name}",
+        f"cycles={program.n_cycles}",
+        "livein="
+        + repr(sorted((v.name, loc) for v, loc in program.livein_map.items())),
+        "liveout="
+        + repr(sorted((v.name, loc) for v, loc in program.liveout_map.items())),
+        f"rf_used={program.rf_used!r}",
+        f"cbox_slots_used={program.cbox_slots_used}",
+        "arrays=" + repr(sorted((a.name, a.handle) for a in program.arrays)),
+    ]
+    for pe, rows in enumerate(program.pe_contexts):
+        for cycle, entry in enumerate(rows):
+            if entry is not None:
+                lines.append(f"pe{pe}@{cycle}: {entry!r}")
+    for cycle, cb in enumerate(program.cbox_contexts):
+        if cb is not None:
+            lines.append(f"cbox@{cycle}: {cb!r}")
+    for cycle, ccu in enumerate(program.ccu_contexts):
+        lines.append(f"ccu@{cycle}: {ccu!r}")
+    return "\n".join(lines).encode("utf-8")
+
+
+class TestProgramBytes:
+    @pytest.mark.parametrize("mode", ("list", "modulo", "auto"))
+    def test_equals_the_repr_encoder_on_every_pinned_cell(self, mode):
+        """The 96 cells of each mode pinned in tests/integration/regressions."""
+        for name in WORKLOADS:
+            kernel = get_workload(name).build()
+            for comp in all_paper_compositions().values():
+                schedule = schedule_kernel(kernel, comp, scheduler_mode=mode)
+                program = generate_contexts(schedule, comp, kernel)
+                assert program_bytes(program) == _repr_program_bytes(program), (
+                    name, comp.name, mode
+                )
+
+    def test_entry_shapes_beyond_the_grid(self):
+        """Zero, one and two operand selectors, every C-Box function and
+        branch kind, a predicated write and a FRESH output."""
+        from repro.arch.cbox import FRESH, CBoxFunc, CBoxOp
+        from repro.arch.ccu import BranchKind, CCUEntry
+        from repro.context.words import ContextProgram, PEContext, SrcSel
+
+        pe_rows = [
+            [
+                PEContext("NOP", out_addr=3),
+                PEContext("IADD", (SrcSel.rf(0),), dest_slot=1, predicated=True),
+                PEContext("IMUL", (SrcSel.port(2), SrcSel.rf(5)), 4, duration=2),
+                None,
+                PEContext("CONST", dest_slot=0, immediate=-(2**31)),
+            ]
+        ]
+        cbox = [
+            CBoxOp(status_pe=0, func=func, read_pos=0, read_neg=1,
+                   write_pos=2, write_neg=3, out_ctrl_slot=FRESH)
+            for func in CBoxFunc
+        ] + [None]
+        ccu = [CCUEntry(kind, 0 if kind in (BranchKind.UNCONDITIONAL,
+                                            BranchKind.CONDITIONAL) else None)
+               for kind in BranchKind]
+        program = ContextProgram(
+            "k", "c", len(ccu), pe_rows, cbox, ccu, {}, {}, [6], 4
+        )
+        assert program_bytes(program) == _repr_program_bytes(program)
