@@ -24,11 +24,15 @@ need no predication and no squash handling.
 The initiation interval is searched upward from
 ``MII = max(ResMII, RecMII, PathMII)`` (Rau's iterative modulo
 scheduling): each candidate II bounds placement with a deadline of
-``II`` cycles; a failed attempt rolls the region back
+``II`` cycles.  The kernel-span superblock is built once per loop and
+every attempt schedules a copy of it; an attempt stops as soon as some
+unplaced item's critical tail can no longer finish by the deadline.
+Unless some probe of the attempt missed the deadline, the next II
+would replay the same placements up to that point, so the search
+raises the II in place and placement goes on (:class:`_IISearch`).
+Only an attempt in which a probe missed the deadline (an opcode slower
+on some eligible PEs than on others) rolls the region back
 (:class:`repro.sched.state.SchedCheckpoint`) and retries with II+1.
-The kernel-span superblock is built once per loop and every attempt
-schedules a copy of it; an attempt aborts as soon as some unplaced
-item's critical tail can no longer finish by the deadline.
 Infeasible loops (or, in ``auto`` mode, loops where no II beats the
 list realisation's iteration span, or whose rotated form homes a
 variable on another PE than the list form) fall back to the list
@@ -275,6 +279,48 @@ def _var_homes(sched) -> Dict[object, int]:
     }
 
 
+class _IISearch:
+    """The II values one loop's search has tried.
+
+    ``ii`` is the II the running attempt places for and ``attempts``
+    counts every II tried so far, the ones skipped in place included.
+    """
+
+    def __init__(self, sched, span_start: int, mii: int, cap: int) -> None:
+        self.sched = sched
+        self.span_start = span_start
+        self.cap = cap
+        self.ii = mii
+        self.attempts = 0
+
+    def raise_to(self, reach: int, cycle: int) -> Optional[int]:
+        """The deadline the attempt continues under, or None to abort it.
+
+        Called when the reach check at the top of ``cycle`` finds that
+        some unplaced item cannot finish before ``reach``.  Placement
+        reads the deadline only there and in the per-probe finish check.
+        If no probe of this attempt missed the deadline, each II up to
+        the smallest one whose deadline covers ``reach`` would replay
+        every placement so far from the checkpoint and fail here again,
+        so those IIs count as tried and the attempt goes on in place.
+        Past ``cap`` every remaining II fails the same way: they all
+        count, and the attempt aborts.
+        """
+        sched = self.sched
+        if sched._deadline_rejected:
+            return None
+        ii = min(reach - self.span_start + 1, self.cap)
+        if ii > self.ii:
+            if sched.obs_tracer.enabled:
+                sched.obs_tracer.event(
+                    "sched.modulo.raise", from_ii=self.ii, to_ii=ii, cycle=cycle
+                )
+            self.attempts += ii - self.ii
+            self.ii = ii
+        deadline = self.span_start + ii - 1
+        return deadline if reach <= deadline else None
+
+
 class ModuloStrategy(SchedulingStrategy):
     """Software-pipeline one loop; falls back to the list strategy."""
 
@@ -368,22 +414,24 @@ class ModuloStrategy(SchedulingStrategy):
                 f"RecMII {bounds.rec_mii}, PathMII {bounds.path_mii})"
             )
 
-        # -- iterative II search with backtracking placement ---------------
-        attempts = 0
+        # -- iterative II search: raised in place, replayed only when a
+        # probe missed the deadline -------------------------------------
+        search = _IISearch(sched, span_start, mii, cap)
         back_cycle: Optional[int] = None
-        for ii in range(mii, cap + 1):
-            attempts += 1
+        while search.ii <= cap:
+            search.attempts += 1
             try:
                 back_cycle = self._attempt_span(
-                    sched, sb, bounds.tails, pair, span_start, ii
+                    sched, sb, bounds.tails, pair, search
                 )
                 break
             except SchedulingError:
                 checkpoint.rollback(sched)
+                search.ii += 1
         if back_cycle is None:
             raise ModuloInfeasible(
                 f"no feasible II in [{mii}, {cap}] for loop kernel span",
-                attempts=attempts,
+                attempts=search.attempts,
             )
         achieved = back_cycle - span_start + 1
 
@@ -397,7 +445,7 @@ class ModuloStrategy(SchedulingStrategy):
             ii=achieved,
             res_mii=bounds.res_mii,
             rec_mii=bounds.rec_mii,
-            attempts=attempts,
+            attempts=search.attempts,
             path_mii=bounds.path_mii,
         )
         sched.modulo_loops.append(info)
@@ -416,26 +464,30 @@ class ModuloStrategy(SchedulingStrategy):
         sb: Superblock,
         tails: Dict[int, int],
         pair: int,
-        span_start: int,
-        ii: int,
+        search: _IISearch,
     ) -> int:
         """One bounded placement attempt; returns the back-branch cycle.
 
+        Starts at ``search.ii``, which the attempt may raise in place.
         Places a shallow copy of ``sb``: dynamic unfuse inserts items
         into the dict it schedules, and the next attempt must start
         from the built superblock again.
         """
-        deadline = span_start + ii - 1
-        sched._deadline = deadline
+        span_start = search.span_start
+        sched._deadline = span_start + search.ii - 1
         sched._deadline_tails = tails
+        sched._deadline_raise = search.raise_to
+        sched._deadline_rejected = False
         try:
             sched._place_superblock(replace(sb, items=dict(sb.items)))
+            deadline = sched._deadline
         finally:
             sched._deadline = None
+            sched._deadline_raise = None
         back_cycle = sched._branch_cycle()
         if back_cycle > deadline:
             raise SchedulingError(
-                f"kernel span needs more than II={ii} cycles"
+                f"kernel span needs more than II={search.ii} cycles"
             )
         combine = sched.planner.combined_at.get(pair)
         if combine is None:  # pragma: no cover - structural

@@ -20,7 +20,7 @@ CCU branches.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.arch.composition import Composition
 from repro.ir.cdfg import Kernel
@@ -167,6 +167,12 @@ class RegionScheduler:
         #: longest successor chain (sched.modulo.compute_mii); read only
         #: under a deadline, which aborts once an item can no longer make it
         self._deadline_tails: Dict[int, int] = {}
+        #: called with (reach, cycle) when the reach check fails; returns
+        #: a later deadline covering ``reach`` to continue in place, or
+        #: None to abort (the modulo II search's in-place raise)
+        self._deadline_raise: Optional[Callable[[int, int], Optional[int]]] = None
+        #: some probe of the running attempt missed the deadline
+        self._deadline_rejected = False
         #: node value locations: node id -> [(pe, vid, ready)]
         self.node_locs: Dict[int, List[Tuple[int, int, int]]] = {}
         #: attraction criterion (Section V-G): (item key, pe) -> score
@@ -425,6 +431,7 @@ class RegionScheduler:
         self._fused_done: List[int] = []
 
         remaining: Dict[int, SBItem] = dict(sb.items)
+        preds = {key: self._preds(item, sb) for key, item in remaining.items()}
         done: Dict[int, int] = {}  # item key -> final cycle
         max_cycle = start - 1
         t = start
@@ -437,15 +444,20 @@ class RegionScheduler:
                 # successor chain runs; an unfused pWRITE that re-entered
                 # the pool (no tail of its own) needs at least one cycle
                 need = max(tails.get(key, 1) for key in remaining)
-                if t + need - 1 > deadline:
-                    raise SchedulingError(
-                        f"deadline {deadline} out of reach at cycle {t}: "
-                        f"items {sorted(remaining)} need {need} more cycles"
-                    )
+                reach = t + need - 1
+                if reach > deadline:
+                    raise_to = self._deadline_raise
+                    raised = None if raise_to is None else raise_to(reach, t)
+                    if raised is None:
+                        raise SchedulingError(
+                            f"deadline {deadline} out of reach at cycle {t}: "
+                            f"items {sorted(remaining)} need {need} more cycles"
+                        )
+                    deadline = self._deadline = raised
             candidates = [
                 item
-                for item in remaining.values()
-                if all(d in done and done[d] < t for d in self._preds(item, sb))
+                for key, item in remaining.items()
+                if all(d in done and done[d] < t for d in preds[key])
             ]
             candidates.sort(key=lambda it: (-it.priority, it.key))
             placed_any = False
@@ -465,6 +477,7 @@ class RegionScheduler:
             # dynamically unfused pWRITEs re-enter the candidate pool
             for key, unfused in self._pending_unfused:
                 remaining[key] = unfused
+                preds[key] = self._preds(unfused, sb)
             self._pending_unfused.clear()
             if not placed_any and self.obs_metrics.enabled:
                 self.obs_metrics.inc("sched.stall.steps")
@@ -602,6 +615,7 @@ class RegionScheduler:
         duration = pe_desc.duration(exec_opcode)
         final = t + duration - 1
         if self._deadline is not None and final > self._deadline:
+            self._deadline_rejected = True
             return self._reject("deadline", item, pe, t)
 
         txn = Txn(self.res)

@@ -73,14 +73,13 @@ class SBItem:
     fused_write: Optional[Node] = None
     cond_step: Optional[CondStep] = None
     priority: int = 0
+    #: the node's id and opcode, read on every placement probe
+    key: int = field(init=False, repr=False, compare=False)
+    opcode: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> int:
-        return self.node.id
-
-    @property
-    def opcode(self) -> str:
-        return self.node.opcode
+    def __post_init__(self) -> None:
+        self.key = self.node.id
+        self.opcode = self.node.opcode
 
 
 @dataclass
